@@ -182,6 +182,15 @@ func Run(cfg Config) (*stats.FleetSummary, error) {
 	// concurrent shard workers too — and keeps N-instantiation cheap.
 	backing := workload.NewMemcached(cfg.Items, cfg.ValueLines, 1, 1).Backing()
 	insts := make([]*instance, cfg.Instances)
+	// However the run ends, no instance's processes stay suspended
+	// (Close is a no-op on the drained engines of a clean run).
+	defer func() {
+		for _, in := range insts {
+			if in != nil {
+				in.env.Engine().Close()
+			}
+		}
+	}()
 	for i := range insts {
 		env := core.NewEnv(cfg.Base, backing)
 		srv, err := core.NewServer(env, core.ServerConfig{

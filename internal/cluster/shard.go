@@ -62,6 +62,11 @@ type shardPool struct {
 	spin   int             // per-worker spin budget before parking
 
 	wg sync.WaitGroup // round completion
+
+	// The first panic a worker recovered this round; run re-raises it
+	// on the driver goroutine, where the fleet's caller can contain it.
+	panicMu  sync.Mutex
+	panicked any
 }
 
 // newShardPool starts shards persistent workers over insts. The caller
@@ -126,6 +131,16 @@ func (p *shardPool) worker(w int) {
 
 // work claims and runs instances until the round's cursor is drained.
 func (p *shardPool) work() {
+	defer p.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicMu.Lock()
+			if p.panicked == nil {
+				p.panicked = r
+			}
+			p.panicMu.Unlock()
+		}
+	}()
 	for {
 		i := int(p.cursor.Add(1)) - 1
 		if i >= len(p.insts) {
@@ -138,7 +153,6 @@ func (p *shardPool) work() {
 			runBatch(in, p.batches[i], p.window, p.last)
 		}
 	}
-	p.wg.Done()
 }
 
 // run executes one published job to completion across all workers.
@@ -155,6 +169,10 @@ func (p *shardPool) run() {
 		}
 	}
 	p.wg.Wait()
+	if r := p.panicked; r != nil {
+		p.panicked = nil
+		panic(r)
+	}
 }
 
 // advance moves every instance engine to deadline concurrently.

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -164,6 +166,34 @@ func BenchmarkFleet(b *testing.B) {
 				}
 				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 			})
+		}
+	}
+}
+
+// TestShardWorkerPanicReachesDriver: a panic inside an engine advanced
+// by a shard worker is re-raised on the driver goroutine, where the
+// fleet's caller can contain it, instead of killing the process.
+func TestShardWorkerPanicReachesDriver(t *testing.T) {
+	insts := make([]*instance, 3)
+	for i := range insts {
+		insts[i] = &instance{env: core.NewEnv(platform.Default(), nil)}
+	}
+	insts[1].env.Engine().At(5*sim.Nanosecond, func() { panic("engine exploded") })
+	p := newShardPool(insts, 2)
+	defer p.close()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		p.advance(10 * sim.Nanosecond)
+		return nil
+	}()
+	if got != "engine exploded" {
+		t.Fatalf("driver recovered %v, want the worker's panic", got)
+	}
+	// The pool survives: the next round runs normally.
+	p.advance(20 * sim.Nanosecond)
+	for i, in := range insts {
+		if now := in.env.Engine().Now(); now != 20*sim.Nanosecond {
+			t.Errorf("instance %d at %v after the next round, want 20ns", i, now)
 		}
 	}
 }

@@ -334,6 +334,13 @@ func launch(e *Env, w Workload, threadsPerCore int, run coreRunner) (*counters, 
 		}
 		coreID, threads := coreID, threads
 		e.eng.Go(fmt.Sprintf("core%d", coreID), func(p *sim.Proc) {
+			// A failed run unwinds this body (Engine.Close); take the
+			// suspended threads down with it.
+			defer func() {
+				for _, th := range threads {
+					th.Stop()
+				}
+			}()
 			run(p, e, coreID, threads, c)
 			c.liveCores--
 		})

@@ -62,29 +62,32 @@ func TestValidateAcceptsSample(t *testing.T) {
 	}
 }
 
+// rejections are single mutations of sample() that Validate must
+// reject.
+var rejections = []struct {
+	name string
+	mut  func(*Report)
+}{
+	{"wrong schema", func(r *Report) { r.Schema = "other" }},
+	{"wrong version", func(r *Report) { r.Version = 99 }},
+	{"empty tool", func(r *Report) { r.Tool = "" }},
+	{"no tables", func(r *Report) { r.Tables = nil }},
+	{"duplicate table", func(r *Report) { r.Tables[1].ID = "fig3" }},
+	{"table without id", func(r *Report) { r.Tables[0].ID = "" }},
+	{"no series", func(r *Report) { r.Tables[0].Series = nil }},
+	{"duplicate series", func(r *Report) { r.Tables[0].Series[1].Label = "1us" }},
+	{"unlabeled series", func(r *Report) { r.Tables[0].Series[0].Label = "" }},
+	{"x/y length mismatch", func(r *Report) { r.Tables[0].Series[0].Y = r.Tables[0].Series[0].Y[:2] }},
+	{"empty series", func(r *Report) {
+		r.Tables[0].Series[0].X = nil
+		r.Tables[0].Series[0].Y = nil
+	}},
+	{"misaligned diags", func(r *Report) { r.Tables[1].Series[0].Diags = r.Tables[1].Series[0].Diags[:1] }},
+	{"null x cell", func(r *Report) { r.Tables[0].Series[0].X[1] = Float(math.NaN()) }},
+}
+
 func TestValidateRejections(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Report)
-	}{
-		{"wrong schema", func(r *Report) { r.Schema = "other" }},
-		{"wrong version", func(r *Report) { r.Version = 99 }},
-		{"empty tool", func(r *Report) { r.Tool = "" }},
-		{"no tables", func(r *Report) { r.Tables = nil }},
-		{"duplicate table", func(r *Report) { r.Tables[1].ID = "fig3" }},
-		{"table without id", func(r *Report) { r.Tables[0].ID = "" }},
-		{"no series", func(r *Report) { r.Tables[0].Series = nil }},
-		{"duplicate series", func(r *Report) { r.Tables[0].Series[1].Label = "1us" }},
-		{"unlabeled series", func(r *Report) { r.Tables[0].Series[0].Label = "" }},
-		{"x/y length mismatch", func(r *Report) { r.Tables[0].Series[0].Y = r.Tables[0].Series[0].Y[:2] }},
-		{"empty series", func(r *Report) {
-			r.Tables[0].Series[0].X = nil
-			r.Tables[0].Series[0].Y = nil
-		}},
-		{"misaligned diags", func(r *Report) { r.Tables[1].Series[0].Diags = r.Tables[1].Series[0].Diags[:1] }},
-		{"null x cell", func(r *Report) { r.Tables[0].Series[0].X[1] = Float(math.NaN()) }},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejections {
 		r := sample()
 		tc.mut(r)
 		if err := r.Validate(); err == nil {

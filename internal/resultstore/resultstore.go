@@ -278,7 +278,8 @@ func GC(dir, keepStamp string) (removedEntries int, removedBytes int64, err erro
 // Do returns the value cached under key, computing it with compute on
 // a miss. Concurrent Do calls with the same key share one execution.
 // Errors are returned to every waiter of that execution but are never
-// cached: a later Do retries the computation.
+// cached: a later Do retries the computation. A panic in compute
+// propagates to this caller; the execution's waiters get an error.
 func (s *Store[V]) Do(key string, compute func() (V, error)) (V, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -297,12 +298,23 @@ func (s *Store[V]) Do(key string, compute func() (V, error)) (V, error) {
 	s.inflight[key] = c
 	s.mu.Unlock()
 
+	computed := false
+	defer func() {
+		if !computed {
+			c.err = fmt.Errorf("resultstore: computing %s panicked", key)
+			close(c.done)
+			s.mu.Lock()
+			delete(s.inflight, key)
+			s.mu.Unlock()
+		}
+	}()
 	fromDisk := false
 	if v, ok := s.readDisk(key); ok {
 		c.val, fromDisk = v, true
 	} else {
 		c.val, c.err = compute()
 	}
+	computed = true
 	close(c.done)
 
 	s.mu.Lock()

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestKeyCanonical(t *testing.T) {
@@ -397,5 +399,45 @@ func TestTruncatedDiskEntryRecomputed(t *testing.T) {
 	}
 	if got, ok := s3.Get(key); !ok || got.N != 7 {
 		t.Fatalf("repaired entry = (%+v, %v)", got, ok)
+	}
+}
+
+// TestPanicReleasesWaiters: a compute that panics propagates to its
+// own caller, fails the waiters sharing that execution instead of
+// stranding them, and is retried by the next Do.
+func TestPanicReleasesWaiters(t *testing.T) {
+	s := New[int](8)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		s.Do("k", func() (int, error) {
+			close(entered)
+			<-release
+			panic("compute exploded")
+		})
+	}()
+	<-entered
+	waiter := make(chan error)
+	go func() {
+		_, err := s.Do("k", func() (int, error) { return 1, nil })
+		waiter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter join the execution
+	close(release)
+	if r := <-panicked; r != "compute exploded" {
+		t.Fatalf("caller recovered %v, want the compute's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err != nil && !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter error = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter stranded by a panicking compute")
+	}
+	if v, err := s.Do("k", func() (int, error) { return 9, nil }); err != nil || v != 9 {
+		t.Fatalf("retry after panic = (%d, %v), want (9, nil)", v, err)
 	}
 }

@@ -770,6 +770,14 @@ func TestJournalRecovery(t *testing.T) {
 	if id5 != "job-0005" {
 		t.Errorf("post-replay id = %s, want job-0005", id5)
 	}
+	// Let job 5 finish and srv2 drain before the temp dir is removed:
+	// its report sidecar write would otherwise race the cleanup.
+	if st5 := pollDone(t, ts2, id5); st5.State != StateDone {
+		t.Errorf("job 5 = %s (err %q), want done", st5.State, st5.Error)
+	}
+	if err := srv2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWarmResumeFromDiskCache: a journal+cachedir restart re-runs an

@@ -104,9 +104,9 @@ func BenchmarkGateFanout(b *testing.B) {
 	b.ReportMetric(float64(rounds*waiters)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkProcSwitch measures the strict-handoff process machinery:
-// a set of processes repeatedly sleeping, i.e. the executor-core
-// pattern of every threaded mechanism.
+// BenchmarkProcSwitch measures process switching (coroutine resume
+// and block): a set of processes repeatedly sleeping, i.e. the
+// executor-core pattern of every threaded mechanism.
 func BenchmarkProcSwitch(b *testing.B) {
 	const (
 		procs  = 8

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -26,8 +27,8 @@ func (a event) less(b event) bool {
 //
 // The zero value is not usable; create engines with NewEngine. An Engine
 // must be driven by one goroutine at a time (processes started with Go
-// synchronize with the engine in strict handoff, so user code never runs
-// concurrently with engine code). The driving goroutine may change
+// are coroutines the engine switches to and back, so user code never
+// runs concurrently with engine code). The driving goroutine may change
 // between calls when the caller provides the ordering — the sharded
 // fleet driver moves engines between barrier workers this way — but two
 // goroutines must never drive one engine concurrently.
@@ -62,11 +63,7 @@ type Engine struct {
 	started   []*Proc // processes not yet compacted away, for stuck-process reports
 	deadProcs int     // finished processes still occupying started
 
-	// free lists, refilled across runs by Recycle via the package
-	// scratch pool: finished Proc shells (goroutine exited, channels
-	// reusable) and gate-waiter slices.
-	procFree   []*Proc
-	waiterFree [][]func()
+	waiterFree [][]func() // gate-waiter slice free list, kept across runs by Recycle
 }
 
 // scratch is the recyclable allocation footprint of one engine run.
@@ -79,7 +76,6 @@ type scratch struct {
 	heap       []event
 	nowq       []func()
 	started    []*Proc
-	procFree   []*Proc
 	waiterFree [][]func()
 }
 
@@ -93,37 +89,29 @@ func NewEngine() *Engine {
 		e.heap = s.heap
 		e.nowq = s.nowq
 		e.started = s.started
-		e.procFree = s.procFree
 		e.waiterFree = s.waiterFree
 	}
 	return e
 }
 
 // Recycle returns the engine's backing arrays (event heap, now-queue,
-// process table, proc and waiter free lists) to the package pool for
-// the next NewEngine call. It is a no-op unless the engine is fully
-// quiescent — no pending events and no live processes — so a run that
-// errored out keeps its state for post-mortem inspection. The engine
-// must not be used again after Recycle, and caller-held *Proc handles
-// become invalid (the shells are reused by future Go calls).
+// process table, waiter free list) to the package pool for the next
+// NewEngine call. It is a no-op unless the engine is fully quiescent —
+// no pending events and no live processes — so a run that errored out
+// keeps its state for post-mortem inspection. The engine must not be
+// used again after Recycle.
 func (e *Engine) Recycle() {
 	if e.procs != 0 || e.Pending() != 0 {
 		return
 	}
-	free := e.procFree
-	for i, p := range e.started {
-		p.eng = nil // drop the dead engine; Go re-binds on reuse
-		free = append(free, p)
-		e.started[i] = nil
-	}
+	clear(e.started)
 	s := &scratch{
 		heap:       e.heap[:0],
 		nowq:       e.nowq[:0],
 		started:    e.started[:0],
-		procFree:   free,
 		waiterFree: e.waiterFree,
 	}
-	e.heap, e.nowq, e.started, e.procFree, e.waiterFree = nil, nil, nil, nil, nil
+	e.heap, e.nowq, e.started, e.waiterFree = nil, nil, nil, nil
 	e.nowHead = 0
 	e.deadProcs = 0
 	scratchPool.Put(s)
@@ -305,6 +293,18 @@ func (e *Engine) NextEventAt() (Time, bool) {
 	return 0, false
 }
 
+// Close stops every process that has not returned: its body unwinds
+// from the blocking call, running its deferred calls. LiveProcNames
+// still names the stopped processes; an engine that stopped any must
+// not be run again.
+func (e *Engine) Close() {
+	for _, p := range e.started {
+		if !p.done {
+			p.stop()
+		}
+	}
+}
+
 // LiveProcs returns the number of processes started with Go that have
 // not yet returned. A non-zero value after Run indicates a process
 // blocked forever (a modeling bug analogous to a goroutine leak).
@@ -331,26 +331,13 @@ const compactAfter = 32
 // procExited is called (in engine context) each time a process body
 // returns. Once enough finished processes accumulate, the started table
 // is compacted in place — preserving start order for LiveProcNames —
-// and the finished Proc shells move to the free list for reuse by later
-// Go calls, so a long-lived engine no longer retains every process it
-// ever ran.
+// so a long-lived engine no longer retains every process it ever ran.
 func (e *Engine) procExited() {
 	e.deadProcs++
 	if e.deadProcs < compactAfter || e.deadProcs*2 < len(e.started) {
 		return
 	}
-	live := e.started[:0]
-	for _, p := range e.started {
-		if p.done {
-			e.procFree = append(e.procFree, p)
-		} else {
-			live = append(live, p)
-		}
-	}
-	for i := len(live); i < len(e.started); i++ {
-		e.started[i] = nil
-	}
-	e.started = live
+	e.started = slices.DeleteFunc(e.started, (*Proc).Done)
 	e.deadProcs = 0
 }
 
@@ -382,8 +369,10 @@ func (e *Engine) putWaiters(s []func()) {
 // drains while processes are still blocked — a lost wakeup that a bare
 // Run would silently swallow, leaving the caller with a truncated
 // simulation — it reports which named processes are stuck. The returned
-// time is valid either way.
+// time is valid either way. However the run ends, even by a panic,
+// RunChecked closes the engine so no process stays suspended.
 func (e *Engine) RunChecked() (Time, error) {
+	defer e.Close()
 	t := e.Run()
 	if e.procs > 0 {
 		return t, fmt.Errorf("sim: quiescent with %d process(es) still blocked: %s",

@@ -33,15 +33,12 @@ func TestStartedCompactionKeepsNamesStable(t *testing.T) {
 	if len(e.started) >= total/2 {
 		t.Errorf("started table holds %d entries after %d exits; compaction did not run", len(e.started), total-len(stuck))
 	}
-	if len(e.procFree) == 0 {
-		t.Errorf("no finished procs were pooled for reuse")
-	}
 	// ...without disturbing the stuck procs' names or start order.
 	names := e.LiveProcNames()
 	if strings.Join(names, ",") != strings.Join(stuck, ",") {
 		t.Errorf("LiveProcNames = %v, want %v", names, stuck)
 	}
-	// Later Gos reuse pooled shells and still run correctly.
+	// Later Gos still run correctly.
 	var woke []string
 	for i := 0; i < 5; i++ {
 		name := fmt.Sprintf("r%d", i)
@@ -52,10 +49,10 @@ func TestStartedCompactionKeepsNamesStable(t *testing.T) {
 	}
 	e.Run()
 	if strings.Join(woke, ",") != "r0,r1,r2,r3,r4" {
-		t.Errorf("reused procs woke as %v", woke)
+		t.Errorf("later procs woke as %v", woke)
 	}
 	if got := e.LiveProcNames(); strings.Join(got, ",") != strings.Join(stuck, ",") {
-		t.Errorf("LiveProcNames after reuse = %v, want %v", got, stuck)
+		t.Errorf("LiveProcNames after later Gos = %v, want %v", got, stuck)
 	}
 }
 

@@ -8,9 +8,10 @@
 // Determinism is a hard requirement inherited from the paper's
 // methodology (§IV-A: "We ensure that the memory access sequence remains
 // deterministic across these runs"): events firing at the same
-// simulated time are executed in scheduling order, and processes run one
-// at a time in strict handoff with the engine, so a simulation with the
-// same inputs always produces the same trace.
+// simulated time are executed in scheduling order, and processes are
+// coroutines that run one at a time, handing control back to the engine
+// whenever they block, so a simulation with the same inputs always
+// produces the same trace.
 package sim
 
 import "fmt"

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package uthread is the user-level threading library of the paper's
 // support software (§IV-B): the heavily optimized GNU-Pth derivative
 // whose context switch costs 20-50 ns. Application code keeps the
@@ -6,15 +8,19 @@
 // mechanism-specific executor underneath overlaps accesses from many
 // threads.
 //
-// A Thread is a coroutine: its body runs on its own goroutine, but it
-// executes only between Start/Resume calls from its executor, handing
-// back a Request each time it needs work, device data, or finishes.
-// Exactly one of {executor, thread body} runs at a time, so simulations
-// remain deterministic. Timing is entirely the executor's business; this
+// A Thread is a coroutine (iter.Pull): its body executes only between
+// Start/Resume calls from its executor, handing back a Request each
+// time it needs work, device data, or finishes. Exactly one of
+// {executor, thread body} runs at a time, so simulations remain
+// deterministic. Timing is entirely the executor's business; this
 // package only transports control and data.
 package uthread
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+)
 
 // Kind discriminates the requests a thread body can make.
 type Kind int
@@ -63,22 +69,22 @@ type Request struct {
 type Thread struct {
 	id       int
 	body     func(*API)
-	req      chan Request
-	res      chan [][]byte
-	started  bool
+	next     func() (Request, bool) // executor -> body: run to the next request
+	stop     func()                 // unwind a suspended body (Stop)
+	yield    func(Request) bool     // body -> executor: hand over a request
+	data     [][]byte               // Resume payload for the pending request
 	finished bool
 	last     Request // most recent request, for Resume payload checks
 }
 
+// errUnwind is the panic that a request raises in a thread stopped by
+// Stop; the thread's own coroutine recovers it.
+var errUnwind = errors.New("uthread: thread stopped")
+
 // New creates a thread that will run body; the body does not start
 // executing until the executor calls Start.
 func New(id int, body func(*API)) *Thread {
-	return &Thread{
-		id:   id,
-		body: body,
-		req:  make(chan Request),
-		res:  make(chan [][]byte),
-	}
+	return &Thread{id: id, body: body}
 }
 
 // ID returns the thread's identifier.
@@ -89,15 +95,28 @@ func (t *Thread) Finished() bool { return t.finished }
 
 // Start launches the body and runs it up to its first request.
 func (t *Thread) Start() Request {
-	if t.started {
+	if t.next != nil {
 		panic(fmt.Sprintf("uthread: thread %d started twice", t.id))
 	}
-	t.started = true
-	go func() {
+	t.next, t.stop = iter.Pull(func(yield func(Request) bool) {
+		t.yield = yield
+		defer func() {
+			if r := recover(); r != nil && r != errUnwind {
+				panic(r)
+			}
+		}()
 		t.body(&API{t: t})
-		t.req <- Request{Kind: KindDone}
-	}()
-	return t.next()
+	})
+	return t.step()
+}
+
+// Stop unwinds a suspended thread: its pending request panics inside
+// the body, which runs the body's deferred calls, and the coroutine
+// exits. It is a no-op on a thread that is not suspended.
+func (t *Thread) Stop() {
+	if t.stop != nil {
+		t.stop()
+	}
 }
 
 // Resume delivers the data for the previous request (nil for KindWork)
@@ -105,7 +124,7 @@ func (t *Thread) Start() Request {
 // answering an access batch with the wrong number of lines (the body
 // would index out of range or silently read a sibling's data), panics.
 func (t *Thread) Resume(data [][]byte) Request {
-	if !t.started {
+	if t.next == nil {
 		panic(fmt.Sprintf("uthread: thread %d resumed before start", t.id))
 	}
 	if t.finished {
@@ -115,17 +134,27 @@ func (t *Thread) Resume(data [][]byte) Request {
 		panic(fmt.Sprintf("uthread: thread %d access batch of %d addresses resumed with %d lines",
 			t.id, len(t.last.Addrs), len(data)))
 	}
-	t.res <- data
-	return t.next()
+	t.data = data
+	return t.step()
 }
 
-func (t *Thread) next() Request {
-	r := <-t.req
-	if r.Kind == KindDone {
+// step runs the body to its next request, or to its end.
+func (t *Thread) step() Request {
+	r, ok := t.next()
+	if !ok {
+		r = Request{Kind: KindDone}
 		t.finished = true
 	}
 	t.last = r
 	return r
+}
+
+// request hands r to the executor and returns the Resume payload.
+func (t *Thread) request(r Request) [][]byte {
+	if !t.yield(r) {
+		panic(errUnwind)
+	}
+	return t.data
 }
 
 // API is the interface the thread body programs against. It mirrors the
@@ -141,8 +170,7 @@ func (a *API) Work(n int) {
 	if n <= 0 {
 		return
 	}
-	a.t.req <- Request{Kind: KindWork, Instr: n}
-	<-a.t.res
+	a.t.request(Request{Kind: KindWork, Instr: n})
 }
 
 // Access performs one synchronous device cache-line read, returning the
@@ -159,8 +187,7 @@ func (a *API) AccessBatch(addrs []uint64) [][]byte {
 	if len(addrs) == 0 {
 		return nil
 	}
-	a.t.req <- Request{Kind: KindAccess, Addrs: addrs}
-	return <-a.t.res
+	return a.t.request(Request{Kind: KindAccess, Addrs: addrs})
 }
 
 // Write posts one fire-and-forget device cache-line write; the thread
@@ -172,6 +199,5 @@ func (a *API) WriteBatch(addrs []uint64) {
 	if len(addrs) == 0 {
 		return
 	}
-	a.t.req <- Request{Kind: KindWrite, Addrs: addrs}
-	<-a.t.res
+	a.t.request(Request{Kind: KindWrite, Addrs: addrs})
 }
