@@ -16,15 +16,18 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Engine + sweep throughput benchmarks, gated against the committed
-# baseline (fails on a >25% rate regression; see cmd/benchgate).
+# Engine, model-layer and sweep benchmarks, gated against the committed
+# baseline (fails on a >25% rate regression or an allocs/op above a
+# pinned ceiling; see cmd/benchgate).
+BENCH_ENGINE_PKGS = ./internal/sim/ ./internal/experiments/ ./internal/pcie/ ./internal/mem/ ./internal/device/
+
 bench-engine:
-	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/experiments/ | tee bench_engine.txt
+	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' $(BENCH_ENGINE_PKGS) | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -input bench_engine.txt
 
 # Rewrite BENCH_engine.json from a fresh run on this machine.
 bench-baseline:
-	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' ./internal/sim/ ./internal/experiments/ | tee bench_engine.txt
+	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' $(BENCH_ENGINE_PKGS) | tee bench_engine.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_engine.json -update -input bench_engine.txt
 
 # Regenerate every paper figure + ablation (text) and per-figure CSVs.

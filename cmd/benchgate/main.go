@@ -1,9 +1,12 @@
 // Command benchgate compares `go test -bench` output against a
-// committed baseline and fails on throughput regressions. It is the CI
-// regression gate for the engine microbenchmarks: the benchmarks report
-// a rate metric (events/sec, cells/sec), benchgate takes the best rate
-// per benchmark across -count repetitions (best-of filters scheduler
-// noise on shared runners), and compares it with the baseline file.
+// committed baseline and fails on throughput or allocation regressions.
+// It is the CI regression gate for the engine microbenchmarks: the
+// benchmarks report a rate metric (events/sec, cells/sec), benchgate
+// takes the best rate per benchmark across -count repetitions (best-of
+// filters scheduler noise on shared runners), and compares it with the
+// baseline file. Entries with a hand-pinned max_allocs_per_op are also
+// gated on the lowest allocs/op over the repetitions: allocation counts
+// are deterministic, so that gate does not depend on the machine.
 //
 // Usage:
 //
@@ -11,7 +14,7 @@
 //	go test -bench . ./internal/sim/ | benchgate -baseline BENCH_engine.json -update
 //
 // Exit status: 0 when every baselined benchmark is present and within
-// the threshold, 1 on regression or missing benchmark, 2 on usage or
+// its gates, 1 on regression or missing benchmark, 2 on usage or
 // parse errors. The threshold is generous (default 25% below baseline)
 // because CI machines vary; the committed baseline records the rates of
 // the machine that last ran -update, and the gate exists to catch
@@ -44,9 +47,15 @@ type Baseline struct {
 // conditions that are hand-pinned in the baseline (and preserved by
 // -update, which only refreshes the measured fields).
 type Entry struct {
-	Metric string  `json:"metric"`        // rate unit, e.g. "events/sec"
-	Rate   float64 `json:"rate"`          // best observed rate at -update time
-	Allocs float64 `json:"allocs_per_op"` // informational, not gated
+	Metric string  `json:"metric"`        // rate unit, e.g. "events/sec"; empty for an allocation-only benchmark
+	Rate   float64 `json:"rate"`          // best observed rate at -update time; 0 gates no rate
+	Allocs float64 `json:"allocs_per_op"` // lowest observed allocs/op at -update time
+
+	// MaxAllocs, when set, fails the gate if the lowest allocs/op of
+	// this run exceeds it. Allocation counts do not depend on the
+	// machine, so the ceiling is pinned by hand near the measured value
+	// (a pointer, so a ceiling of zero is expressible).
+	MaxAllocs *float64 `json:"max_allocs_per_op,omitempty"`
 
 	// MinProcs skips this entry entirely when the run's GOMAXPROCS
 	// (the -N benchmark-name suffix) is below it — for entries whose
@@ -65,6 +74,11 @@ type Entry struct {
 	// the -N suffix); carried in memory for MinProcs checks, not
 	// serialized.
 	Procs int `json:"-"`
+
+	// HasAllocs records that the run reported allocs/op at all (the
+	// benchmark calls b.ReportAllocs or the run used -benchmem); not
+	// serialized.
+	HasAllocs bool `json:"-"`
 }
 
 func main() {
@@ -91,14 +105,15 @@ func main() {
 		fatal(2, "%v", err)
 	}
 	if len(got) == 0 {
-		fatal(2, "no benchmark rate lines found in input (did the run fail, or lack ReportMetric rates?)")
+		fatal(2, "no benchmark result lines found in input (did the run fail, or lack ReportMetric rates and ReportAllocs?)")
 	}
 
 	if *update {
 		note := "best-of-run engine benchmark rates; regenerate with `make bench-baseline`"
 		// Refresh measured fields only: gate conditions (min_procs,
-		// versus, min_speedup) and the note are hand-pinned policy, so
-		// an existing baseline's survive the update.
+		// versus, min_speedup, max_allocs_per_op) and the note are
+		// hand-pinned policy, so an existing baseline's survive the
+		// update.
 		if data, err := os.ReadFile(*basePath); err == nil {
 			var prev Baseline
 			if json.Unmarshal(data, &prev) == nil {
@@ -107,7 +122,7 @@ func main() {
 				}
 				for name, e := range got {
 					if p, ok := prev.Benchmarks[name]; ok {
-						e.MinProcs, e.Versus, e.MinSpeedup = p.MinProcs, p.Versus, p.MinSpeedup
+						e.MinProcs, e.Versus, e.MinSpeedup, e.MaxAllocs = p.MinProcs, p.Versus, p.MinSpeedup, p.MaxAllocs
 						got[name] = e
 					}
 				}
@@ -160,15 +175,33 @@ func main() {
 			fmt.Printf("skip %-28s needs %d procs, ran at %d\n", name, want.MinProcs, have.Procs)
 			continue
 		}
-		floor := want.Rate * (1 - *threshold)
-		ratio := have.Rate / want.Rate
-		status := "ok  "
-		if have.Rate < floor {
-			status = "FAIL"
-			failed = true
+		if want.Rate > 0 {
+			floor := want.Rate * (1 - *threshold)
+			ratio := have.Rate / want.Rate
+			status := "ok  "
+			if have.Rate < floor {
+				status = "FAIL"
+				failed = true
+			}
+			fmt.Printf("%s %-28s %14.0f %s vs baseline %14.0f (%.2fx, floor %.0f)\n",
+				status, name, have.Rate, have.Metric, want.Rate, ratio, floor)
 		}
-		fmt.Printf("%s %-28s %14.0f %s vs baseline %14.0f (%.2fx, floor %.0f)\n",
-			status, name, have.Rate, have.Metric, want.Rate, ratio, floor)
+
+		// Allocation ceiling: the lowest allocs/op of the run, against
+		// the hand-pinned maximum.
+		switch {
+		case want.MaxAllocs == nil:
+		case !have.HasAllocs:
+			fmt.Printf("FAIL %-28s reports no allocs/op to check against max %.0f\n", name, *want.MaxAllocs)
+			failed = true
+		default:
+			status := "ok  "
+			if have.Allocs > *want.MaxAllocs {
+				status = "FAIL"
+				failed = true
+			}
+			fmt.Printf("%s %-28s %14.0f allocs/op (max %.0f)\n", status, name, have.Allocs, *want.MaxAllocs)
+		}
 
 		// Speedup condition: compare against the Versus benchmark's
 		// rate from this same run, so machine speed cancels out.
@@ -196,10 +229,10 @@ func main() {
 		}
 	}
 	if failed {
-		fmt.Printf("benchgate: regression beyond %.0f%% of %s\n", *threshold*100, *basePath)
+		fmt.Printf("benchgate: regression against %s (rate threshold %.0f%%)\n", *basePath, *threshold*100)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmarks within %.0f%% of %s\n", len(names), *threshold*100, *basePath)
+	fmt.Printf("benchgate: %d benchmarks within the gates of %s (rate threshold %.0f%%)\n", len(names), *basePath, *threshold*100)
 }
 
 // parseBench extracts the best rate per benchmark from `go test -bench`
@@ -207,9 +240,11 @@ func main() {
 //
 //	BenchmarkSchedule-8  242  4941329 ns/op  11367105 events/sec  376 B/op  6 allocs/op
 //
-// The rate is the value whose unit ends in "/sec"; the "-8" GOMAXPROCS
+// The rate is the value whose unit ends in "/sec"; a benchmark that
+// reports allocs/op but no rate is kept with a zero rate. The "-8" GOMAXPROCS
 // suffix is stripped so baselines transfer across machines. With
-// -count>1 the same name repeats; the maximum rate wins.
+// -count>1 the same name repeats; the maximum rate and, separately, the
+// minimum allocs/op win.
 func parseBench(r io.Reader) (map[string]Entry, error) {
 	out := map[string]Entry{}
 	sc := bufio.NewScanner(r)
@@ -227,9 +262,10 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 			}
 		}
 		var (
-			rate   float64
-			metric string
-			allocs float64
+			rate      float64
+			metric    string
+			allocs    float64
+			hasAllocs bool
 		)
 		for i := 1; i+1 < len(fields); i++ {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -240,15 +276,24 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 			case strings.HasSuffix(unit, "/sec"):
 				rate, metric = v, unit
 			case unit == "allocs/op":
-				allocs = v
+				allocs, hasAllocs = v, true
 			}
 		}
-		if metric == "" {
-			continue // benchmark without a rate metric; not gated
+		if metric == "" && !hasAllocs {
+			continue // neither a rate nor allocs/op: nothing to gate
 		}
-		if prev, ok := out[name]; !ok || rate > prev.Rate {
-			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs}
+		prev, ok := out[name]
+		if !ok {
+			out[name] = Entry{Metric: metric, Rate: rate, Allocs: allocs, Procs: procs, HasAllocs: hasAllocs}
+			continue
 		}
+		if rate > prev.Rate {
+			prev.Metric, prev.Rate, prev.Procs = metric, rate, procs
+		}
+		if hasAllocs && (!prev.HasAllocs || allocs < prev.Allocs) {
+			prev.Allocs, prev.HasAllocs = allocs, true
+		}
+		out[name] = prev
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -49,13 +49,12 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 		if th == nil {
 			// The OS idles (or runs unrelated processes) until the
 			// device raises a completion interrupt.
-			gate := ep.CompletionGate()
 			compls := cq.Drain()
 			if len(compls) == 0 {
 				// Recovery backstop: the kernel arms a timer at the
 				// earliest descriptor deadline in case the completion
 				// interrupt never comes.
-				waitCompletionOrRecover(p, e, rq, ep, gate, waiting, states, ready, c)
+				waitCompletionOrRecover(p, e, rq, ep, ep.Notify(), waiting, states, ready, c)
 				continue
 			}
 			// Interrupt delivery + handler, then wake the syscall
@@ -82,12 +81,7 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 				// returns.
 				w.aw.To(attrib.PhaseComplWait, intStart)
 				w.aw.To(attrib.PhaseSwitch, p.Now())
-				if w.aw != nil && st.atr == nil {
-					st.atr = make([]*attrib.Access, len(st.data))
-				}
-				if st.atr != nil {
-					st.atr[w.slot] = w.aw
-				}
+				st.park(w.slot, w.aw)
 				st.data[w.slot] = ep.Data(compl.ID)
 				st.remaining--
 				if st.remaining == 0 {
@@ -118,7 +112,7 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 				aw.To(attrib.PhaseComplWait, resumeStart)
 				aw.Close(attrib.PhaseSwitch, p.Now())
 			}
-			st.atr = nil
+			st.delivered()
 			req = th.Resume(st.payload)
 			st.payload = nil
 		} else {
@@ -137,8 +131,7 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 			// Syscall entry, kernel queueing, unconditional doorbell,
 			// then the kernel de-schedules the thread.
 			p.Sleep(e.cfg.SyscallCost)
-			st.data = make([][]byte, len(req.Addrs))
-			st.remaining = len(req.Addrs)
+			st.begin(len(req.Addrs))
 			for i, addr := range req.Addrs {
 				aw := e.at.Open(p.Now())
 				p.Sleep(e.cfg.SWQPerAccessOverhead)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/attrib"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -10,14 +12,79 @@ import (
 )
 
 // pendingAccess tracks one thread's outstanding prefetch batch: the
-// in-flight lines and the slots their data will land in. atr holds the
-// per-line attribution ledgers (nil slice when attribution is off, nil
-// entries for cache hits).
+// in-flight lines and the slots their data will land in. Each thread
+// keeps one for its whole run: a batch is consumed before the thread
+// can issue the next, so its slices and line records are reused.
 type pendingAccess struct {
+	active bool // a batch is outstanding
 	data   [][]byte
-	gates  []*sim.Gate
-	atr    []*attrib.Access
+	lines  []*lineFetch // lines[:len(data)] serve the current batch
 	issued sim.Time
+}
+
+// begin readies the record for a batch of n lines issued at now.
+func (pa *pendingAccess) begin(n int, now sim.Time) {
+	pa.active = true
+	pa.issued = now
+	pa.data = slices.Grow(pa.data[:0], n)[:n]
+	clear(pa.data)
+}
+
+// line returns the record for slot i of the current batch, re-armed.
+func (pa *pendingAccess) line(e *Env, coreID, i int) *lineFetch {
+	if i == len(pa.lines) {
+		l := &lineFetch{e: e, pa: pa, coreID: coreID, slot: i, gate: e.eng.NewGate()}
+		l.acquiredFn, l.doneFn = l.acquired, l.done
+		pa.lines = append(pa.lines, l)
+	}
+	l := pa.lines[i]
+	l.gate.Reset()
+	l.miss, l.sp, l.aw = false, trace.Span{}, nil
+	return l
+}
+
+// lineFetch is one slot of a thread's prefetch batch. A cache hit
+// leaves it idle; a miss sends it through the chip-level queue and the
+// device, and its gate fires when the line lands. Its callbacks are
+// bound once, so a fault-free miss allocates nothing here.
+type lineFetch struct {
+	e      *Env
+	pa     *pendingAccess
+	coreID int
+	slot   int
+	addr   uint64
+	miss   bool           // sent to the device this batch (false for a cache hit)
+	sp     trace.Span     // access-lifecycle span
+	aw     *attrib.Access // attribution ledger; nil when off or for a hit
+	gate   *sim.Gate      // fires when the line has landed
+
+	acquiredFn func()       // l.acquired
+	doneFn     func([]byte) // l.done
+}
+
+// acquired runs when the line's request takes a chip-level queue slot.
+func (l *lineFetch) acquired() {
+	now := l.e.eng.Now()
+	l.sp.Point(now, "chipq-acquired")
+	l.aw.To(attrib.PhaseQueueWait, now)
+	l.e.dev.MMIORead(l.coreID, l.addr, l.sp, l.aw, l.doneFn)
+}
+
+// done delivers the line's data.
+func (l *lineFetch) done(data []byte) {
+	e := l.e
+	l.aw.To(attrib.PhaseTransit, e.eng.Now())
+	l.pa.data[l.slot] = data
+	if cc := e.caches[l.coreID]; cc != nil {
+		cc.Insert(l.addr, data)
+	}
+	e.chip.Release()
+	e.lfb[l.coreID].Release()
+	l.gate.Fire()
+	if e.rec != nil {
+		e.rec.Finished(e.eng.Now())
+	}
+	l.sp.End(e.eng.Now())
 }
 
 // runPrefetchCore executes one core under the prefetch mechanism
@@ -32,6 +99,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 	pending := make(map[*uthread.Thread]*pendingAccess, len(threads))
 	for _, th := range threads {
 		initial[th] = th.Start()
+		pending[th] = &pendingAccess{}
 	}
 	rr := uthread.NewRoundRobin(threads)
 	var cur *uthread.Thread
@@ -76,12 +144,12 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 		// (waiting on any line still in flight), or pick up the request
 		// captured at Start.
 		var req uthread.Request
-		if pa := pending[th]; pa != nil {
-			for _, g := range pa.gates {
-				if g == nil {
-					continue // cache hit: nothing in flight
+		if pa := pending[th]; pa.active {
+			lines := pa.lines[:len(pa.data)]
+			for _, l := range lines {
+				if l.miss {
+					p.Wait(l.gate) // demand load; no cost if the line already filled
 				}
-				p.Wait(g) // demand load; no cost if the line already filled
 			}
 			c.recordLatency(p.Now() - pa.issued)
 			if e.rec != nil {
@@ -91,12 +159,12 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 			// marks rely on the clamp: a line that landed before the
 			// switch charges it to the switch phase, a line that was
 			// still in flight keeps everything in completion wait.
-			for _, aw := range pa.atr {
-				aw.To(attrib.PhaseComplWait, switchStart)
-				aw.To(attrib.PhaseSwitch, switchEnd)
-				aw.Close(attrib.PhaseComplWait, p.Now())
+			for _, l := range lines {
+				l.aw.To(attrib.PhaseComplWait, switchStart)
+				l.aw.To(attrib.PhaseSwitch, switchEnd)
+				l.aw.Close(attrib.PhaseComplWait, p.Now())
 			}
-			delete(pending, th)
+			pa.active = false
 			req = th.Resume(pa.data)
 		} else {
 			req = initial[th]
@@ -133,15 +201,10 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 		}
 
 		if req.Kind == uthread.KindAccess {
-			pa := &pendingAccess{
-				data:   make([][]byte, len(req.Addrs)),
-				gates:  make([]*sim.Gate, len(req.Addrs)),
-				issued: p.Now(),
-			}
-			if e.at != nil {
-				pa.atr = make([]*attrib.Access, len(req.Addrs))
-			}
+			pa := pending[th]
+			pa.begin(len(req.Addrs), p.Now())
 			for i, addr := range req.Addrs {
+				l := pa.line(e, coreID, i)
 				// A cache hit satisfies the prefetch on-chip: no LFB
 				// entry, no device access (§III-B, cacheable MMIO).
 				if cc := e.caches[coreID]; cc != nil {
@@ -158,9 +221,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 					sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
 				}
 				aw := e.at.Open(p.Now())
-				if pa.atr != nil {
-					pa.atr[i] = aw
-				}
+				l.sp, l.aw = sp, aw
 
 				// prefetcht0: allocate an LFB entry; a full pool stalls
 				// the core until an entry frees — the 10-entry limit of
@@ -175,34 +236,16 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 					e.rec.Started(p.Now())
 				}
 
-				g := e.eng.NewGate()
-				pa.gates[i] = g
-				i, addr := i, addr
-				lfb := e.lfb[coreID]
+				l.addr, l.miss = addr, true
 				// The request proceeds to the device once a slot in the
 				// chip-level shared queue frees; the wait happens in the
 				// hardware queues, not on the core.
 				if e.faults == nil {
-					e.chip.OnAcquire(func() {
-						sp.Point(e.eng.Now(), "chipq-acquired")
-						aw.To(attrib.PhaseQueueWait, e.eng.Now())
-						e.dev.MMIORead(coreID, addr, sp, aw, func(data []byte) {
-							aw.To(attrib.PhaseTransit, e.eng.Now())
-							pa.data[i] = data
-							if cc := e.caches[coreID]; cc != nil {
-								cc.Insert(addr, data)
-							}
-							e.chip.Release()
-							lfb.Release()
-							g.Fire()
-							if e.rec != nil {
-								e.rec.Finished(e.eng.Now())
-							}
-							sp.End(e.eng.Now())
-						})
-					})
+					e.chip.OnAcquire(l.acquiredFn)
 					continue
 				}
+				g := l.gate
+				lfb := e.lfb[coreID]
 				// Fault-aware path: the in-flight line gets a timeout;
 				// on expiry the host re-issues the read (the LFB entry
 				// and chip-queue slot stay allocated across retries),
@@ -269,7 +312,6 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 					attempt(0)
 				})
 			}
-			pending[th] = pa
 			// userctx_yield(): fall through to the scheduler.
 		} else if e.tr != nil || e.rec != nil {
 			// The thread just finished; record the shrunk runnable set.

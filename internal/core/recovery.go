@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/attrib"
 	"repro/internal/device"
@@ -37,8 +37,10 @@ func minDeadline(waiting map[uint64]descWait) sim.Time {
 // arrive. Under fault injection it bounds the wait by the earliest
 // descriptor deadline, so a lost completion or a swallowed doorbell
 // cannot hang the core: on expiry it runs timeout recovery over every
-// overdue descriptor. Callers must obtain the gate before their final
-// completion-queue drain to avoid a lost wakeup.
+// overdue descriptor. The gate must fire on the next completion posted
+// after the caller's final completion-queue drain (the endpoint's
+// Notify gate, checked in the same process step as the drain), or a
+// wakeup is lost.
 func waitCompletionOrRecover(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *device.SWQEndpoint,
 	gate *sim.Gate, waiting map[uint64]descWait, states map[*uthread.Thread]*swqThreadState,
 	ready *uthread.FIFO, c *counters) {
@@ -67,7 +69,7 @@ func resubmitOverdue(p *sim.Proc, e *Env, rq *hostmem.RequestQueue, ep *device.S
 	for id := range waiting {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 
 	resubmitted := false
 	for _, id := range ids {

@@ -60,9 +60,55 @@ type serverReq struct {
 }
 
 type serverWorker struct {
-	id   int
+	id    int
+	core  int
+	gate  *sim.Gate  // fires to wake the parked worker; re-armed per park
+	lines []*srvLine // grows to the widest request; reused by every request
+}
+
+// srvLine is one device line a worker has in flight. A request's lines
+// are all delivered before the worker serves its next request, so the
+// worker reuses them; their callbacks are bound once.
+type srvLine struct {
+	e    *Env
 	core int
-	gate *sim.Gate
+	addr uint64
+	chip bool           // holds a chip-level queue slot
+	lfb  *sim.TokenPool // holds an entry of this LFB pool, or nil
+	gate *sim.Gate      // fires when the line has landed
+
+	acquiredFn func()       // l.acquired
+	doneFn     func([]byte) // l.done
+}
+
+// line returns the worker's record for line i of the current request,
+// re-armed for a line at addr.
+func (w *serverWorker) line(e *Env, i int, addr uint64, chip bool, lfb *sim.TokenPool) *srvLine {
+	if i == len(w.lines) {
+		l := &srvLine{e: e, core: w.core, gate: e.eng.NewGate()}
+		l.acquiredFn, l.doneFn = l.acquired, l.done
+		w.lines = append(w.lines, l)
+	}
+	l := w.lines[i]
+	l.gate.Reset()
+	l.addr, l.chip, l.lfb = addr, chip, lfb
+	return l
+}
+
+// acquired runs when the line's request takes a chip-level queue slot.
+func (l *srvLine) acquired() {
+	l.e.dev.MMIORead(l.core, l.addr, trace.Span{}, nil, l.doneFn)
+}
+
+// done releases the line's hardware queue entries and wakes its waiter.
+func (l *srvLine) done([]byte) {
+	if l.chip {
+		l.e.chip.Release()
+	}
+	if l.lfb != nil {
+		l.lfb.Release()
+	}
+	l.gate.Fire()
 }
 
 // ServerConfig parameterizes an open-loop service.
@@ -105,7 +151,7 @@ func NewServer(e *Env, sc ServerConfig) (*Server, error) {
 		s.slot[i] = e.eng.NewTokenPool("coreslot", 1)
 	}
 	for i := 0; i < sc.Workers; i++ {
-		w := &serverWorker{id: i, core: i % e.cfg.Cores}
+		w := &serverWorker{id: i, core: i % e.cfg.Cores, gate: e.eng.NewGate()}
 		s.workers = append(s.workers, w)
 		s.e.eng.Go(fmt.Sprintf("srvworker%d", i), func(p *sim.Proc) {
 			s.workerLoop(p, w)
@@ -182,7 +228,7 @@ func (s *Server) workerLoop(p *sim.Proc, w *serverWorker) {
 			if s.closed {
 				return
 			}
-			w.gate = s.e.eng.NewGate()
+			w.gate.Reset()
 			s.idle = append(s.idle, w)
 			p.Wait(w.gate)
 		}
@@ -241,25 +287,15 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// entry, then a chip-level queue slot on the way out), yield the
 		// core while the lines are in flight, and pay a context switch
 		// when the demand loads resume.
-		gates := make([]*sim.Gate, lines)
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
 			p.AcquireToken(e.lfb[w.core])
 			p.Sleep(e.cfg.PrefetchIssue)
-			g := e.eng.NewGate()
-			gates[l] = g
-			lfb := e.lfb[w.core]
-			e.chip.OnAcquire(func() {
-				e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-					e.chip.Release()
-					lfb.Release()
-					g.Fire()
-				})
-			})
+			e.chip.OnAcquire(w.line(e, l, addr, true, e.lfb[w.core]).acquiredFn)
 		}
 		slot.Release()
-		for _, g := range gates {
-			p.Wait(g)
+		for _, l := range w.lines[:lines] {
+			p.Wait(l.gate)
 		}
 		p.AcquireToken(slot)
 		p.Sleep(e.cfg.CtxSwitch)
@@ -269,19 +305,14 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// no LFB entries, no chip-queue slots — and the worker yields
 		// until the batch completes.
 		p.Sleep(e.cfg.SWQBatchOverhead)
-		gates := make([]*sim.Gate, lines)
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
 			p.Sleep(e.cfg.SWQPerAccessOverhead)
-			g := e.eng.NewGate()
-			gates[l] = g
-			e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-				g.Fire()
-			})
+			w.line(e, l, addr, false, nil).acquired()
 		}
 		slot.Release()
-		for _, g := range gates {
-			p.Wait(g)
+		for _, l := range w.lines[:lines] {
+			p.Wait(l.gate)
 		}
 		p.AcquireToken(slot)
 		p.Sleep(e.cfg.CompletionPoll)
@@ -291,14 +322,9 @@ func (s *Server) serve(p *sim.Proc, w *serverWorker, req serverReq) {
 		// device round trip, one line at a time.
 		for l := 0; l < lines; l++ {
 			addr := s.addrFor(w.core, req.key, l)
-			g := e.eng.NewGate()
-			e.chip.OnAcquire(func() {
-				e.dev.MMIORead(w.core, addr, trace.Span{}, nil, func([]byte) {
-					e.chip.Release()
-					g.Fire()
-				})
-			})
-			p.Wait(g)
+			ln := w.line(e, 0, addr, true, nil)
+			e.chip.OnAcquire(ln.acquiredFn)
+			p.Wait(ln.gate)
 		}
 	}
 

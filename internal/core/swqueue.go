@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/attrib"
 	"repro/internal/hostmem"
 	"repro/internal/sim"
@@ -10,6 +12,8 @@ import (
 )
 
 // swqThreadState tracks one thread's lifecycle under the FIFO scheduler.
+// Its slices are reused batch after batch: a thread's previous batch is
+// consumed by the time it submits the next one.
 type swqThreadState struct {
 	started   bool
 	payload   [][]byte // data to deliver on the next resume
@@ -17,8 +21,31 @@ type swqThreadState struct {
 	remaining int      // descriptors of the current batch still pending
 
 	// atr holds the batch's attribution ledgers awaiting delivery, by
-	// slot; nil when attribution is off or the batch had none complete.
+	// slot; empty when attribution is off or the batch had none complete.
 	atr []*attrib.Access
+}
+
+// begin readies the state for a batch of n accesses.
+func (st *swqThreadState) begin(n int) {
+	st.data = slices.Grow(st.data[:0], n)[:n]
+	clear(st.data)
+	st.remaining = n
+}
+
+// park files a completed access's ledger until the batch is delivered.
+func (st *swqThreadState) park(slot int, aw *attrib.Access) {
+	if aw != nil && len(st.atr) == 0 {
+		st.atr = slices.Grow(st.atr[:0], len(st.data))[:len(st.data)]
+	}
+	if len(st.atr) > 0 {
+		st.atr[slot] = aw
+	}
+}
+
+// delivered empties the parked ledgers once the batch is delivered.
+func (st *swqThreadState) delivered() {
+	clear(st.atr)
+	st.atr = st.atr[:0]
 }
 
 // descWait maps an outstanding descriptor to the thread slot its data
@@ -111,14 +138,14 @@ func runSWQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *c
 	for live > 0 {
 		th := ready.Pop()
 		if th == nil {
-			// No ready threads: poll the completion queue. The gate is
-			// taken before draining so a completion that lands between
-			// the drain and the wait still wakes the scheduler.
-			gate := ep.CompletionGate()
+			// No ready threads: poll the completion queue. A completion
+			// posted during the poll is in the drain; an empty drain
+			// parks on the endpoint's notifier, which fires on the next
+			// post (nothing runs between the drain and the wait).
 			p.Sleep(e.cfg.CompletionPoll)
 			compls := cq.Drain()
 			if len(compls) == 0 {
-				waitCompletionOrRecover(p, e, rq, ep, gate, waiting, states, ready, c)
+				waitCompletionOrRecover(p, e, rq, ep, ep.Notify(), waiting, states, ready, c)
 				continue
 			}
 			for _, compl := range compls {
@@ -140,12 +167,7 @@ func runSWQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *c
 				// device posted it is completion wait. The ledger parks on
 				// the thread state until the scheduler resumes it.
 				w.aw.To(attrib.PhaseComplWait, p.Now())
-				if w.aw != nil && st.atr == nil {
-					st.atr = make([]*attrib.Access, len(st.data))
-				}
-				if st.atr != nil {
-					st.atr[w.slot] = w.aw
-				}
+				st.park(w.slot, w.aw)
 				st.data[w.slot] = ep.Data(compl.ID)
 				st.remaining--
 				if st.remaining == 0 {
@@ -182,7 +204,7 @@ func runSWQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *c
 				aw.To(attrib.PhaseSwitch, switchEnd)
 				aw.Close(attrib.PhaseComplWait, p.Now())
 			}
-			st.atr = nil
+			st.delivered()
 			req = th.Resume(st.payload)
 			st.payload = nil
 		} else {
@@ -223,8 +245,7 @@ func runSWQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *c
 			// the number of accesses "even when the accesses are
 			// batched").
 			p.Sleep(e.cfg.SWQBatchOverhead)
-			st.data = make([][]byte, len(req.Addrs))
-			st.remaining = len(req.Addrs)
+			st.begin(len(req.Addrs))
 			for i, addr := range req.Addrs {
 				aw := e.at.Open(p.Now())
 				p.Sleep(e.cfg.SWQPerAccessOverhead)

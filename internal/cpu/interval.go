@@ -19,7 +19,7 @@
 package cpu
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/platform"
@@ -123,6 +123,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 	// slots[i] is the time the i-th oldest outstanding-access slot
 	// frees; with a single latency class, slots free in FIFO order.
 	slots := make([]sim.Time, maxOutstanding)
+	loadBuf := make([]sim.Time, maxOutstanding) // one iteration's load completions
 
 	records := make([]iterRecord, 0, len(trace))
 	ptr := 0 // monotone pointer into records for retirement queries
@@ -184,7 +185,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		// gap; the dependent work waits for the last of them. Under
 		// fault injection each load's latency is its own recovery-
 		// inclusive draw instead of the uniform value.
-		loadDone := make([]sim.Time, k)
+		loadDone := loadBuf[:k]
 		for i := 0; i < k; i++ {
 			lat := latency
 			out := fault.AccessOutcome{Latency: lat}
@@ -214,7 +215,7 @@ func runOnDemand(cfg platform.Config, trace []IterSpec, latency sim.Time, maxOut
 		// Recycle the k slots used: each frees at its own completion.
 		copy(slots, slots[k:])
 		copy(slots[maxOutstanding-k:], loadDone)
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
+		slices.Sort(slots)
 
 		records = append(records, iterRecord{
 			base: base, reads: k, workInstr: it.WorkInstr,

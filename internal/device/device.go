@@ -66,6 +66,8 @@ type Device struct {
 	reqCounter uint64 // per-request latency-tail draw (deterministic)
 
 	inj *fault.Injector
+
+	mmioFree []*mmioRead // finished MMIO reads ready for reuse
 }
 
 // New creates a device with no recordings loaded. backing is the
@@ -210,56 +212,105 @@ func (d *Device) WritesServed() uint64 { return d.writesServed }
 // congestion or an on-demand-module detour can only push the response
 // later, never earlier.
 func (d *Device) MMIORead(coreID int, addr uint64, sp trace.Span, aw *attrib.Access, done func(data []byte)) {
-	issue := d.eng.Now()
-	latency := d.effectiveLatency()
+	r := d.newMMIORead()
+	r.coreID, r.addr, r.sp, r.aw, r.done = coreID, addr, sp, aw, done
+	r.issue = d.eng.Now()
+	r.latency = d.effectiveLatency()
 	if f, ok := d.inj.Straggle(); ok {
-		latency = sim.Time(float64(latency) * f)
-		sp.Point(issue, "fault-straggle")
+		r.latency = sim.Time(float64(r.latency) * f)
+		sp.Point(r.issue, "fault-straggle")
 	}
 	// Read-request TLP travels downstream (header only).
-	d.link.SendDown(0, 0, func() {
-		sp.Point(d.eng.Now(), "req-at-device")
-		aw.To(attrib.PhaseTransit, d.eng.Now())
-		data, fromReplay := d.serve(coreID, addr)
-		// The delay module timestamps the request and computes when the
-		// response must leave so it lands at issue + latency.
-		sendAt := issue + latency - d.link.Propagation() - d.cfg.TLPTime(platform.CacheLineBytes)
-		if fromReplay {
-			sp.Point(d.eng.Now(), "serve-replay")
-		} else {
-			// On-demand detour: the dataset DRAM read must finish first.
-			sp.Point(d.eng.Now(), "serve-ondemand")
-			earliest := d.eng.Now() + OnDemandDRAMLatency
-			if earliest > sendAt {
-				sendAt = earliest
-			}
+	d.link.SendDown(0, 0, r.atDeviceFn)
+}
+
+// mmioRead is one in-flight MMIO read: the state its request and
+// response steps share. The Device recycles it after its last step —
+// the response arrival, or the device-side drop of a lost response —
+// when no pending event refers to it any longer.
+type mmioRead struct {
+	d       *Device
+	coreID  int
+	addr    uint64
+	sp      trace.Span
+	aw      *attrib.Access
+	done    func([]byte)
+	issue   sim.Time
+	latency sim.Time
+	sendAt  sim.Time
+	data    []byte
+
+	atDeviceFn, arrivedFn func() // r.atDevice, r.arrived, bound once
+}
+
+func (d *Device) newMMIORead() *mmioRead {
+	if n := len(d.mmioFree); n > 0 {
+		r := d.mmioFree[n-1]
+		d.mmioFree = d.mmioFree[:n-1]
+		return r
+	}
+	r := &mmioRead{d: d}
+	r.atDeviceFn, r.arrivedFn = r.atDevice, r.arrived
+	return r
+}
+
+func (r *mmioRead) release() {
+	r.sp, r.aw, r.done, r.data = trace.Span{}, nil, nil, nil
+	r.d.mmioFree = append(r.d.mmioFree, r)
+}
+
+// atDevice runs when the read request has arrived at the device.
+func (r *mmioRead) atDevice() {
+	d, sp := r.d, r.sp
+	now := d.eng.Now()
+	sp.Point(now, "req-at-device")
+	r.aw.To(attrib.PhaseTransit, now)
+	data, fromReplay := d.serve(r.coreID, r.addr)
+	// The delay module timestamps the request and computes when the
+	// response must leave so it lands at issue + latency.
+	sendAt := r.issue + r.latency - d.link.Propagation() - d.cfg.TLPTime(platform.CacheLineBytes)
+	if fromReplay {
+		sp.Point(now, "serve-replay")
+	} else {
+		// On-demand detour: the dataset DRAM read must finish first.
+		sp.Point(now, "serve-ondemand")
+		earliest := now + OnDemandDRAMLatency
+		if earliest > sendAt {
+			sendAt = earliest
 		}
-		if sendAt < d.eng.Now() {
-			sendAt = d.eng.Now()
-		}
-		if d.inj.DropCompletion() {
-			// Response lost in the device; the host's timeout recovers.
-			sp.Point(d.eng.Now(), "fault-drop")
-			return
-		}
-		sp.Point(sendAt, "resp-sent")
-		respond := func() {
-			d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, func() {
-				// The delay-module wait until sendAt was device service.
-				// Marked at arrival (never future-dated) so a straggling
-				// attempt's response cannot corrupt a ledger the host
-				// already closed or re-issued.
-				aw.To(attrib.PhaseDevice, sendAt)
-				done(data)
-			})
-		}
-		respond()
-		if d.inj.Duplicate() {
-			// Spurious second response; the host must tolerate it.
-			sp.Point(sendAt, "fault-duplicate")
-			respond()
-		}
-	})
+	}
+	if sendAt < now {
+		sendAt = now
+	}
+	if d.inj.DropCompletion() {
+		// Response lost in the device; the host's timeout recovers.
+		sp.Point(now, "fault-drop")
+		r.release()
+		return
+	}
+	sp.Point(sendAt, "resp-sent")
+	r.data, r.sendAt = data, sendAt
+	d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, r.arrivedFn)
+	if d.inj.Duplicate() {
+		// Spurious second response; the host must tolerate it. It
+		// travels as a read of its own, so each copy's arrival recycles
+		// only itself.
+		sp.Point(sendAt, "fault-duplicate")
+		dup := d.newMMIORead()
+		dup.aw, dup.done, dup.data, dup.sendAt = r.aw, r.done, data, sendAt
+		d.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, dup.arrivedFn)
+	}
+}
+
+// arrived runs when the response has fully arrived back at the host.
+func (r *mmioRead) arrived() {
+	aw, done, data, sendAt := r.aw, r.done, r.data, r.sendAt
+	r.release()
+	// The delay-module wait until sendAt was device service. Marked at
+	// arrival (never future-dated) so a straggling attempt's response
+	// cannot corrupt a ledger the host already closed or re-issued.
+	aw.To(attrib.PhaseDevice, sendAt)
+	done(data)
 }
 
 // MMIOWrite posts one memory-mapped cache-line write (§VII extension):

@@ -20,9 +20,19 @@ type SWQEndpoint struct {
 	cq     *hostmem.CompletionQueue
 
 	doorbell *sim.Gate // armed while the fetcher is parked
-	cqNotify *sim.Gate // fired whenever a completion is posted
+	step     *sim.Gate // the fetcher's current DMA step, re-armed before each
+	stepFire func()    // step.Fire, bound once
+
+	// Completion notification: notify fires and re-arms on every posted
+	// completion; watch is the gate CompletionGate last handed out,
+	// until a completion fires it.
+	notify *sim.Gate
+	watch  *sim.Gate
 
 	data map[uint64][]byte // response lines landed in host memory, by descriptor ID
+
+	ringFn, flagSentFn func() // e.ring, e.flagSent, bound once
+	opFree             []*dmaOp
 
 	fetchBursts  uint64 // DMA burst reads issued
 	emptyBursts  uint64 // bursts that returned no descriptors
@@ -40,9 +50,12 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 		rq:       rq,
 		cq:       cq,
 		doorbell: d.eng.NewGate(),
-		cqNotify: d.eng.NewGate(),
+		step:     d.eng.NewGate(),
+		notify:   d.eng.NewGate(),
 		data:     map[uint64][]byte{},
 	}
+	e.stepFire = e.step.Fire
+	e.ringFn, e.flagSentFn = e.ring, e.flagSent
 	d.eng.Go("fetcher", e.runFetcher)
 	return e
 }
@@ -51,23 +64,39 @@ func (d *Device) NewSWQEndpoint(coreID int, rq *hostmem.RequestQueue, cq *hostme
 // restarting the parked fetcher when the write arrives. The host-side
 // CPU cost of the uncached write is charged by the caller.
 func (e *SWQEndpoint) Doorbell() {
-	e.dev.link.SendDown(0, 0, func() {
-		if e.dev.inj.DropDoorbell() {
-			// Write lost at the device: the fetcher stays parked until the
-			// host's timeout re-rings.
-			return
-		}
-		e.doorbellHits++
-		if !e.doorbell.Fired() {
-			e.doorbell.Fire()
-		}
-	})
+	e.dev.link.SendDown(0, 0, e.ringFn)
+}
+
+// ring runs when a doorbell write arrives at the device.
+func (e *SWQEndpoint) ring() {
+	if e.dev.inj.DropDoorbell() {
+		// Write lost at the device: the fetcher stays parked until the
+		// host's timeout re-rings.
+		return
+	}
+	e.doorbellHits++
+	if !e.doorbell.Fired() {
+		e.doorbell.Fire()
+	}
 }
 
 // CompletionGate returns a gate that fires the next time a completion is
 // posted. Callers must obtain the gate before checking the completion
-// queue to avoid a lost wakeup.
-func (e *SWQEndpoint) CompletionGate() *sim.Gate { return e.cqNotify }
+// queue to avoid a lost wakeup. A gate it hands out stays fired, so
+// each completion it watches costs a new gate; Notify costs none.
+func (e *SWQEndpoint) CompletionGate() *sim.Gate {
+	if e.watch == nil {
+		e.watch = e.dev.eng.NewGate()
+	}
+	return e.watch
+}
+
+// Notify returns the endpoint's completion notifier: one gate that
+// fires on every posted completion and re-arms at once, so a wait on
+// it always lasts until the next post. A caller that finds the
+// completion queue empty and waits in the same process step cannot
+// miss a completion.
+func (e *SWQEndpoint) Notify() *sim.Gate { return e.notify }
 
 // Data returns the response line for a completed descriptor, consuming
 // it (it models the host reading the line from the descriptor's target
@@ -110,7 +139,7 @@ func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
 		if e.stopped {
 			return
 		}
-		e.doorbell = e.dev.eng.NewGate() // re-arm for the next park
+		e.doorbell.Reset() // re-arm for the next park
 
 		for {
 			burst := e.fetchBurst(p)
@@ -134,36 +163,40 @@ func (e *SWQEndpoint) runFetcher(p *sim.Proc) {
 // fetchBurst performs one DMA burst read of up to FetchBurst descriptors
 // from the host request queue: an upstream read-request TLP, the host
 // memory access, and the downstream completion TLP carrying the
-// descriptors.
+// descriptors. The result is valid until the next fetchBurst.
 func (e *SWQEndpoint) fetchBurst(p *sim.Proc) []hostmem.Descriptor {
 	e.fetchBursts++
-	reqArrived := e.dev.eng.NewGate()
-	e.dev.link.SendUp(0, 0, reqArrived.Fire)
-	p.Wait(reqArrived)
+	e.step.Reset()
+	e.dev.link.SendUp(0, 0, e.stepFire)
+	p.Wait(e.step)
 
-	e.dev.hostDRAM.ReadBlocking(p)
+	e.step.Reset()
+	e.dev.hostDRAM.Read(e.step)
+	p.Wait(e.step)
 	burst := e.rq.PopBurst(e.dev.cfg.FetchBurst)
 	if len(burst) == 0 {
 		e.emptyBursts++
 	}
 
 	payload := len(burst) * e.dev.cfg.DescriptorBytes
-	descArrived := e.dev.eng.NewGate()
-	e.dev.link.SendDown(payload, 0, descArrived.Fire)
-	p.Wait(descArrived)
+	e.step.Reset()
+	e.dev.link.SendDown(payload, 0, e.stepFire)
+	p.Wait(e.step)
 	return burst
 }
 
 // writeDoorbellFlag performs the small DMA write that sets the
 // doorbell-request flag in host memory.
 func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
-	landed := e.dev.eng.NewGate()
-	e.dev.link.SendUp(8, 0, func() {
-		e.dev.hostDRAM.Write(landed)
-	})
-	p.Wait(landed)
+	e.step.Reset()
+	e.dev.link.SendUp(8, 0, e.flagSentFn)
+	p.Wait(e.step)
 	e.rq.SetDoorbellRequested()
 }
+
+// flagSent runs when the doorbell-flag write reaches host memory's
+// controller; the fetcher's step completes with the DRAM write.
+func (e *SWQEndpoint) flagSent() { e.dev.hostDRAM.Write(e.step) }
 
 // process forwards fetched descriptors to the replay module and
 // schedules the delay-module response path for each: a response-data
@@ -174,9 +207,8 @@ func (e *SWQEndpoint) writeDoorbellFlag(p *sim.Proc) {
 func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 	arrival := e.dev.eng.Now()
 	for _, desc := range burst {
-		desc := desc
 		if desc.Write {
-			e.processWrite(desc, arrival)
+			e.processWrite(desc)
 			continue
 		}
 		desc.Span.Point(arrival, "desc-fetched")
@@ -214,47 +246,114 @@ func (e *SWQEndpoint) process(burst []hostmem.Descriptor) {
 			continue
 		}
 		desc.Span.Point(sendAt, "resp-sent")
-		// Response-data write TLP, then host DRAM write.
-		e.dev.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, func() {
-			// The delay-module wait until the response left was device
-			// service. Marked at arrival (never future-dated) so a
-			// straggling descriptor's response cannot corrupt a ledger
-			// the host already closed or resubmitted.
-			desc.Attrib.To(attrib.PhaseDevice, sendAt)
-			dataLanded := e.dev.eng.NewGate()
-			e.dev.hostDRAM.Write(dataLanded)
-			dataLanded.OnFire(func() {
-				e.data[desc.ID] = data
-				desc.Span.Point(e.dev.eng.Now(), "data-landed")
-				desc.Attrib.To(attrib.PhaseTransit, e.dev.eng.Now())
-			})
-		})
-		// Completion write queues behind the data write on the upstream
-		// link, guaranteeing host-visible ordering.
-		e.sendCompletion(sendAt, desc.ID, desc.Span, desc.Attrib)
+		// Response-data write TLP, then host DRAM write. The completion
+		// write queues behind it on the upstream link, guaranteeing
+		// host-visible ordering.
+		e.send(opData, desc, data, sendAt)
+		e.send(opCompletion, desc, nil, sendAt)
 		if e.dev.inj.Duplicate() {
 			// Spurious second completion; the host scheduler discards
 			// entries for descriptors it no longer tracks.
 			desc.Span.Point(sendAt, "fault-duplicate")
-			e.sendCompletion(sendAt, desc.ID, desc.Span, desc.Attrib)
+			e.send(opCompletion, desc, nil, sendAt)
 		}
 	}
 }
 
-// sendCompletion carries one completion entry upstream and lands it in
-// the host completion queue, stamping the landing on the access span
-// and marking completion wait on the attribution ledger (a duplicate
-// completion's second mark clamps to zero on the closed ledger).
-func (e *SWQEndpoint) sendCompletion(sendAt sim.Time, id uint64, sp trace.Span, aw *attrib.Access) {
-	e.dev.link.SendUpAt(sendAt, e.dev.cfg.CompletionBytes, 0, func() {
-		complLanded := e.dev.eng.NewGate()
-		e.dev.hostDRAM.Write(complLanded)
-		complLanded.OnFire(func() {
-			sp.Point(e.dev.eng.Now(), "completion-posted")
-			aw.To(attrib.PhaseComplWait, e.dev.eng.Now())
-			e.postCompletion(id)
-		})
-	})
+// opKind names the device-initiated DMA chains of the SWQ path.
+type opKind uint8
+
+const (
+	// opData writes a response line into host memory: an upstream TLP,
+	// then the host DRAM write.
+	opData opKind = iota
+	// opCompletion posts a completion entry the same way, then places
+	// it in the completion queue.
+	opCompletion
+	// opWrite serves a write descriptor: an upstream read request, the
+	// host DRAM read of the source line, the line carried downstream,
+	// then an opCompletion.
+	opWrite
+)
+
+// dmaOp is one device-initiated DMA chain in flight. Each step's event
+// calls next, bound once per record; the endpoint recycles the record
+// after the chain's last step, when no pending event refers to it.
+type dmaOp struct {
+	ep     *SWQEndpoint
+	kind   opKind
+	stage  int
+	id     uint64
+	data   []byte
+	sendAt sim.Time
+	sp     trace.Span     // access-lifecycle span of the descriptor
+	aw     *attrib.Access // attribution ledger of the descriptor
+	nextFn func()         // o.next
+}
+
+// send starts a DMA chain for desc whose first TLP leaves at sendAt.
+func (e *SWQEndpoint) send(kind opKind, desc hostmem.Descriptor, data []byte, sendAt sim.Time) {
+	var o *dmaOp
+	if n := len(e.opFree); n > 0 {
+		o = e.opFree[n-1]
+		e.opFree = e.opFree[:n-1]
+	} else {
+		o = &dmaOp{ep: e}
+		o.nextFn = o.next
+	}
+	o.kind, o.stage, o.id, o.data, o.sendAt, o.sp, o.aw = kind, 0, desc.ID, data, sendAt, desc.Span, desc.Attrib
+	switch kind {
+	case opData:
+		e.dev.link.SendUpAt(sendAt, platform.CacheLineBytes, platform.CacheLineBytes, o.nextFn)
+	case opCompletion:
+		e.dev.link.SendUpAt(sendAt, e.dev.cfg.CompletionBytes, 0, o.nextFn)
+	case opWrite:
+		e.dev.link.SendUp(0, 0, o.nextFn)
+	}
+}
+
+// next runs the chain's next step when the previous one completes.
+func (o *dmaOp) next() {
+	e := o.ep
+	o.stage++
+	now := e.dev.eng.Now()
+	switch {
+	case o.kind == opWrite && o.stage == 1:
+		e.dev.hostDRAM.ReadThen(o.nextFn)
+	case o.kind == opWrite && o.stage == 2:
+		e.dev.link.SendDown(platform.CacheLineBytes, platform.CacheLineBytes, o.nextFn)
+	case o.kind == opWrite:
+		// Store absorbed; the completion flows back.
+		o.kind, o.stage = opCompletion, 0
+		e.dev.link.SendUp(e.dev.cfg.CompletionBytes, 0, o.nextFn)
+	case o.stage == 1:
+		if o.kind == opData {
+			// The delay-module wait until the response left was device
+			// service. Marked at arrival (never future-dated) so a
+			// straggling descriptor's response cannot corrupt a ledger
+			// the host already closed or resubmitted.
+			o.aw.To(attrib.PhaseDevice, o.sendAt)
+		}
+		e.dev.hostDRAM.WriteThen(o.nextFn)
+	case o.kind == opData:
+		e.data[o.id] = o.data
+		o.sp.Point(now, "data-landed")
+		o.aw.To(attrib.PhaseTransit, now)
+		o.release()
+	default:
+		// A duplicate completion's second mark clamps to zero on the
+		// closed ledger.
+		o.sp.Point(now, "completion-posted")
+		o.aw.To(attrib.PhaseComplWait, now)
+		id := o.id
+		o.release()
+		e.postCompletion(id)
+	}
+}
+
+func (o *dmaOp) release() {
+	o.data, o.sp, o.aw = nil, trace.Span{}, nil
+	o.ep.opFree = append(o.ep.opFree, o)
 }
 
 // postCompletion places a landed completion into the host queue. Under
@@ -267,31 +366,19 @@ func (e *SWQEndpoint) postCompletion(id uint64) {
 		return
 	}
 	e.cq.Post(id, e.dev.eng.Now())
-	old := e.cqNotify
-	e.cqNotify = e.dev.eng.NewGate()
-	old.Fire()
+	if w := e.watch; w != nil {
+		e.watch = nil
+		w.Fire()
+	}
+	e.notify.Fire()
+	e.notify.Reset()
 }
 
 // processWrite handles a write descriptor (§VII extension): the device
 // DMA-reads the source line from host memory (read request upstream,
 // data completion downstream), absorbs the store, and posts a
 // completion the host scheduler discards.
-func (e *SWQEndpoint) processWrite(desc hostmem.Descriptor, arrival sim.Time) {
+func (e *SWQEndpoint) processWrite(desc hostmem.Descriptor) {
 	e.dev.writesServed++
-	e.dev.link.SendUp(0, 0, func() {
-		fetched := e.dev.eng.NewGate()
-		e.dev.hostDRAM.Read(fetched)
-		fetched.OnFire(func() {
-			e.dev.link.SendDown(platform.CacheLineBytes, platform.CacheLineBytes, func() {
-				// Store absorbed; completion flows back.
-				e.dev.link.SendUp(e.dev.cfg.CompletionBytes, 0, func() {
-					complLanded := e.dev.eng.NewGate()
-					e.dev.hostDRAM.Write(complLanded)
-					complLanded.OnFire(func() {
-						e.postCompletion(desc.ID)
-					})
-				})
-			})
-		})
-	})
+	e.send(opWrite, desc, nil, e.dev.eng.Now())
 }

@@ -49,6 +49,7 @@ type Completion struct {
 // doorbell-request flag.
 type RequestQueue struct {
 	pending []Descriptor
+	burst   []Descriptor // PopBurst's result buffer, reused by every call
 	nextID  uint64
 
 	// doorbellRequested is the in-memory flag the device sets when its
@@ -112,7 +113,8 @@ func (q *RequestQueue) push(addr, target uint64, now sim.Time, write bool, sp tr
 
 // PopBurst removes and returns up to max descriptors from the head of
 // the queue — the device-side burst read (§IV-A: "retrieves descriptors
-// in bursts of eight").
+// in bursts of eight"). The result is valid until the next PopBurst:
+// the queue reuses its backing array.
 func (q *RequestQueue) PopBurst(max int) []Descriptor {
 	n := max
 	if n > len(q.pending) {
@@ -121,8 +123,8 @@ func (q *RequestQueue) PopBurst(max int) []Descriptor {
 	if n == 0 {
 		return nil
 	}
-	burst := make([]Descriptor, n)
-	copy(burst, q.pending[:n])
+	q.burst = append(q.burst[:0], q.pending[:n]...)
+	burst := q.burst
 	q.pending = q.pending[:copy(q.pending, q.pending[n:])]
 	if q.OnChange != nil {
 		q.OnChange(len(q.pending))
@@ -154,6 +156,7 @@ func (q *RequestQueue) ClearDoorbellRequested() { q.doorbellRequested = false }
 // CompletionQueue is a per-core in-memory completion ring.
 type CompletionQueue struct {
 	entries  []Completion
+	last     []Completion // the previous Drain's result, reused by the next one
 	posted   uint64
 	drained  uint64
 	maxDepth int
@@ -181,14 +184,16 @@ func (q *CompletionQueue) Post(id uint64, now sim.Time) {
 }
 
 // Drain removes and returns all pending completions (host-side poll).
+// The result is valid until the next Drain: the queue alternates
+// between two backing arrays, so completions posted while the caller
+// still reads the result land in the other one.
 func (q *CompletionQueue) Drain() []Completion {
 	if len(q.entries) == 0 {
 		return nil
 	}
-	out := make([]Completion, len(q.entries))
-	copy(out, q.entries)
+	out := q.entries
+	q.entries, q.last = q.last[:0], out
 	q.drained += uint64(len(out))
-	q.entries = q.entries[:0]
 	if q.OnChange != nil {
 		q.OnChange(0)
 	}

@@ -123,3 +123,26 @@ func TestRequestQueueFIFOProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDrainResultSurvivesPosts pins the reuse contract of Drain: the
+// slice it returns stays intact while the device posts more
+// completions, until the next Drain.
+func TestDrainResultSurvivesPosts(t *testing.T) {
+	q := NewCompletionQueue()
+	q.Post(1, 10)
+	q.Post(2, 20)
+	first := q.Drain()
+	q.Post(3, 30)
+	q.Post(4, 40)
+	q.Post(5, 50)
+	if len(first) != 2 || first[0].ID != 1 || first[1].ID != 2 {
+		t.Fatalf("first drain after more posts = %v, want IDs 1, 2", first)
+	}
+	second := q.Drain()
+	if len(second) != 3 || second[0].ID != 3 || second[2].ID != 5 {
+		t.Fatalf("second drain = %v, want IDs 3..5", second)
+	}
+	if q.Drain() != nil || q.Len() != 0 {
+		t.Error("drained queue is not empty")
+	}
+}

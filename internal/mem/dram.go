@@ -19,18 +19,38 @@ type DRAM struct {
 	latency sim.Time
 	slots   *sim.TokenPool
 
+	// inflight holds what each unfinished access signals on completion,
+	// in request order from head on. Slots are granted in request order
+	// and every access takes the same latency, so accesses also start
+	// and finish in that order: one pair of callbacks bound at creation
+	// serves every access, and an access allocates nothing.
+	inflight []completion
+	head     int
+	startFn  func() // d.start
+	finishFn func() // d.finish
+
 	reads  uint64
 	writes uint64
+}
+
+// completion is what one access signals when it finishes: a gate to
+// fire, or a single callback to schedule as the one waiter such a gate
+// would have had.
+type completion struct {
+	gate *sim.Gate
+	fn   func()
 }
 
 // New creates a DRAM model with the given loaded access latency and
 // chip-level outstanding-access limit.
 func New(eng *sim.Engine, latency sim.Time, maxOutstanding int) *DRAM {
-	return &DRAM{
+	d := &DRAM{
 		eng:     eng,
 		latency: latency,
 		slots:   eng.NewTokenPool("dram", maxOutstanding),
 	}
+	d.startFn, d.finishFn = d.start, d.finish
+	return d
 }
 
 // Latency returns the loaded access latency.
@@ -51,7 +71,15 @@ func (d *DRAM) MaxOutstandingSeen() int { return d.slots.MaxInUse() }
 // reached.
 func (d *DRAM) Read(done *sim.Gate) {
 	d.reads++
-	d.access(done)
+	d.access(completion{gate: done})
+}
+
+// ReadThen is Read with a single callback instead of a gate: fn runs as
+// an engine event at the instant Read would fire its gate, exactly as
+// that gate's only OnFire waiter would.
+func (d *DRAM) ReadThen(fn func()) {
+	d.reads++
+	d.access(completion{fn: fn})
 }
 
 // Write performs an asynchronous write; done fires when it completes.
@@ -59,22 +87,43 @@ func (d *DRAM) Read(done *sim.Gate) {
 // on the software-managed-queue path.
 func (d *DRAM) Write(done *sim.Gate) {
 	d.writes++
-	d.access(done)
+	d.access(completion{gate: done})
 }
 
-func (d *DRAM) access(done *sim.Gate) {
-	d.slots.OnAcquire(func() {
-		d.eng.After(d.latency, func() {
-			d.slots.Release()
-			done.Fire()
-		})
-	})
+// WriteThen is Write with a single callback, as ReadThen is Read's.
+func (d *DRAM) WriteThen(fn func()) {
+	d.writes++
+	d.access(completion{fn: fn})
 }
 
-// ReadBlocking performs a read from process context, blocking the
-// process for the access latency.
-func (d *DRAM) ReadBlocking(p *sim.Proc) {
-	g := d.eng.NewGate()
-	d.Read(g)
-	p.Wait(g)
+func (d *DRAM) access(c completion) {
+	if len(d.inflight) == cap(d.inflight) && d.head > 0 {
+		n := copy(d.inflight, d.inflight[d.head:])
+		clear(d.inflight[n:])
+		d.inflight = d.inflight[:n]
+		d.head = 0
+	}
+	d.inflight = append(d.inflight, c)
+	d.slots.OnAcquire(d.startFn)
+}
+
+// start runs when an access is granted its slot.
+func (d *DRAM) start() { d.eng.After(d.latency, d.finishFn) }
+
+// finish completes the oldest access: its slot goes to the next waiter,
+// then its gate fires or its callback is scheduled.
+func (d *DRAM) finish() {
+	c := d.inflight[d.head]
+	d.inflight[d.head] = completion{}
+	d.head++
+	if d.head == len(d.inflight) {
+		d.inflight = d.inflight[:0]
+		d.head = 0
+	}
+	d.slots.Release()
+	if c.gate != nil {
+		c.gate.Fire()
+	} else {
+		d.eng.At(d.eng.Now(), c.fn)
+	}
 }

@@ -61,17 +61,3 @@ func TestOutstandingLimitSerializes(t *testing.T) {
 		t.Errorf("4 reads over 2 slots took %v, want 200ns", end)
 	}
 }
-
-func TestReadBlocking(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, 80*sim.Nanosecond, 48)
-	var woke sim.Time
-	eng.Go("reader", func(p *sim.Proc) {
-		d.ReadBlocking(p)
-		woke = p.Now()
-	})
-	eng.Run()
-	if woke != 80*sim.Nanosecond {
-		t.Errorf("blocking read returned at %v, want 80ns", woke)
-	}
-}

@@ -40,6 +40,8 @@ type Link struct {
 	downUseful int64 // payload bytes that applications asked for
 	upTotal    int64
 	upUseful   int64
+
+	free []*tlp // held packets ready for reuse
 }
 
 // NewLink creates an idle link from the platform description.
@@ -119,20 +121,54 @@ func (l *Link) send(dir *sim.Server, tr trace.Track, total, usefulAcc *int64, ea
 	if tr.Active() {
 		args = trace.Int("payload", int64(payload)) + "," + trace.Int("bytes", int64(payload+l.cfg.PCIeHeaderBytes))
 	}
+	if earliest <= l.eng.Now() {
+		l.transmit(dir, tr, svc, name, args, done)
+		return
+	}
 	// A packet with a future ready time is held at the sender until
 	// then; the link stays work-conserving for other traffic in the
 	// meantime (only the delay module uses future ready times, and its
 	// delay is device-internal, not wire occupancy).
-	submit := func() {
-		start, end := dir.Submit(svc)
-		tr.Slice(start, end, name, args)
-		l.eng.At(end+l.prop, done)
-	}
-	if earliest > l.eng.Now() {
-		l.eng.At(earliest, submit)
+	var t *tlp
+	if n := len(l.free); n > 0 {
+		t = l.free[n-1]
+		l.free = l.free[:n-1]
 	} else {
-		submit()
+		t = &tlp{l: l}
+		t.submitFn = t.submit
 	}
+	t.dir, t.tr, t.svc, t.name, t.args, t.done = dir, tr, svc, name, args, done
+	l.eng.At(earliest, t.submitFn)
+}
+
+// transmit puts one packet on the wire behind earlier traffic in its
+// direction and schedules done for its full arrival.
+func (l *Link) transmit(dir *sim.Server, tr trace.Track, svc sim.Time, name, args string, done func()) {
+	start, end := dir.Submit(svc)
+	tr.Slice(start, end, name, args)
+	l.eng.At(end+l.prop, done)
+}
+
+// tlp is a packet held at the sender until its ready time. The Link
+// recycles it as soon as its submit event runs: nothing else refers to
+// it, so a future-dated send allocates nothing once the free list is
+// warm.
+type tlp struct {
+	l        *Link
+	dir      *sim.Server
+	tr       trace.Track
+	svc      sim.Time
+	name     string
+	args     string
+	done     func()
+	submitFn func() // t.submit, bound once
+}
+
+func (t *tlp) submit() {
+	l, dir, tr, svc, name, args, done := t.l, t.dir, t.tr, t.svc, t.name, t.args, t.done
+	t.dir, t.tr, t.args, t.done = nil, trace.Track{}, "", nil
+	l.free = append(l.free, t)
+	l.transmit(dir, tr, svc, name, args, done)
 }
 
 // Stats describes the traffic carried so far in one direction.

@@ -206,7 +206,8 @@ type Recorder struct {
 
 // Backing is an authoritative byte-addressable dataset, read at
 // cache-line granularity. It stands in for the separate on-board DRAM
-// holding "a copy of the dataset" (§IV-A).
+// holding "a copy of the dataset" (§IV-A). Returned lines are
+// read-only: an implementation may hand the same slice to many reads.
 type Backing interface {
 	ReadLine(addr uint64) []byte
 }
@@ -231,8 +232,12 @@ func (r *Recorder) ReadLine(addr uint64) []byte {
 // microbenchmark).
 type ZeroBacking struct{}
 
-// ReadLine returns a zero-filled line.
-func (ZeroBacking) ReadLine(uint64) []byte { return make([]byte, LineSize) }
+// zeroLine is the one line every ZeroBacking read returns.
+var zeroLine = make([]byte, LineSize)
+
+// ReadLine returns a zero-filled line. Every call returns the same
+// shared line, so callers must treat it as read-only.
+func (ZeroBacking) ReadLine(uint64) []byte { return zeroLine }
 
 // SliceBacking is a Backing over a contiguous []byte dataset starting at
 // a base address. Reads beyond the slice return zero lines, matching

@@ -226,6 +226,38 @@ func TestGateOnFireCallback(t *testing.T) {
 	}
 }
 
+func TestGateReset(t *testing.T) {
+	e := NewEngine()
+	g := e.NewGate()
+	var woke []Time
+	e.Go("waiter", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			p.Wait(g)
+			woke = append(woke, p.Now())
+			g.Reset() // re-armed: the next Wait lasts until the next Fire
+		}
+	})
+	e.At(3*Nanosecond, g.Fire)
+	e.At(9*Nanosecond, g.Fire)
+	e.Run()
+	if len(woke) != 2 || woke[0] != 3*Nanosecond || woke[1] != 9*Nanosecond {
+		t.Errorf("woke = %v, want [3ns 9ns]", woke)
+	}
+	if g.Fired() || g.FiredAt() != 0 {
+		t.Errorf("reset gate fired=%v at %v, want unfired", g.Fired(), g.FiredAt())
+	}
+
+	// A waiter registered on an unfired gate would silently move to the
+	// next firing: Reset refuses.
+	g.OnFire(func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("reset with a registered waiter did not panic")
+		}
+	}()
+	g.Reset()
+}
+
 func TestGateDoubleFirePanics(t *testing.T) {
 	e := NewEngine()
 	g := e.NewGate()

@@ -212,6 +212,19 @@ func (g *Gate) Fire() {
 	}
 }
 
+// Reset returns the gate to the unfired state so its owner can reuse it
+// for a later request instead of allocating a new one. Only the owner
+// may call it, and only once nothing can still wait on the earlier
+// firing. Resetting an unfired gate that has callbacks registered
+// panics: they would silently move to the next firing.
+func (g *Gate) Reset() {
+	if g.waiters != nil {
+		panic("sim: reset of a gate with waiters")
+	}
+	g.fired = false
+	g.firedAt = 0
+}
+
 // OnFire registers fn to run (as an engine event) when the gate fires,
 // or immediately-as-an-event if it already has.
 func (g *Gate) OnFire(fn func()) { g.onFire(fn) }

@@ -13,7 +13,8 @@ import "math/bits"
 // bucket midpoint is within 1/256 (~0.4%) of every value it absorbs —
 // comfortably inside the 1% accuracy budget of the percentile
 // diagnostics. The scheme is closed-form (no rescaling, no allocation
-// beyond the count slice), so recording is O(1) and deterministic.
+// beyond the count slice), so recording is amortized O(1) and
+// deterministic.
 type Histogram struct {
 	counts []uint64
 	total  uint64
@@ -61,9 +62,7 @@ func (h *Histogram) Record(v int64) {
 	}
 	idx := bucketIndex(v)
 	if idx >= len(h.counts) {
-		grown := make([]uint64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(idx + 1)
 	}
 	h.counts[idx]++
 	if h.total == 0 || v < h.min {
@@ -73,6 +72,31 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 	h.total++
+}
+
+// grow extends the bucket range to n buckets. It reserves capacity to
+// the end of the top bucket's power-of-two octave, so samples of one
+// magnitude reallocate once rather than once per new top bucket, and
+// at most one octave's buckets sit unused. Buckets past len are always
+// zero: Reset clears what it drops.
+func (h *Histogram) grow(n int) {
+	if n > cap(h.counts) {
+		end := histExact
+		if top := n - 1; top >= histExact {
+			end += ((top-histExact)>>histSubBits + 1) << histSubBits
+		}
+		grown := make([]uint64, n, end)
+		copy(grown, h.counts)
+		h.counts = grown
+		return
+	}
+	h.counts = h.counts[:n]
+}
+
+// Reset empties the histogram, keeping its bucket storage for reuse.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	*h = Histogram{counts: h.counts[:0]}
 }
 
 // Count returns the number of recorded samples.
@@ -123,9 +147,7 @@ func (h *Histogram) Merge(o *Histogram) {
 		return
 	}
 	if len(o.counts) > len(h.counts) {
-		grown := make([]uint64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(len(o.counts))
 	}
 	for i, c := range o.counts {
 		h.counts[i] += c

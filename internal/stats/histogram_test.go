@@ -299,3 +299,30 @@ func TestHistogramMergeIntoNilPanics(t *testing.T) {
 	var h *Histogram
 	h.Merge(NewHistogram())
 }
+
+// TestHistogramResetReuse pins that a reset histogram answers exactly
+// as a fresh one, although it keeps (and may grow past) its storage.
+func TestHistogramResetReuse(t *testing.T) {
+	reused, fresh := NewHistogram(), NewHistogram()
+	for v := int64(1); v < 1<<40; v *= 7 {
+		reused.Record(v)
+	}
+	reused.Reset()
+	if reused.Count() != 0 || reused.Buckets() != 0 || reused.Quantile(0.5) != 0 {
+		t.Fatalf("reset histogram: count=%d buckets=%d", reused.Count(), reused.Buckets())
+	}
+	for _, h := range []*Histogram{reused, fresh} {
+		for v := int64(900_000); v < 1_400_000; v += 3_331 {
+			h.Record(v)
+		}
+	}
+	if reused.Buckets() != fresh.Buckets() || reused.Min() != fresh.Min() || reused.Max() != fresh.Max() {
+		t.Errorf("reused buckets/min/max = %d/%d/%d, fresh %d/%d/%d", reused.Buckets(), reused.Min(), reused.Max(),
+			fresh.Buckets(), fresh.Min(), fresh.Max())
+	}
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999} {
+		if a, b := reused.Quantile(q), fresh.Quantile(q); a != b {
+			t.Errorf("Quantile(%v): reused %d, fresh %d", q, a, b)
+		}
+	}
+}

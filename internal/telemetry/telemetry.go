@@ -120,6 +120,7 @@ type Recorder struct {
 	curStart  sim.Time
 	counts    [numCounters]uint64
 	hist      *stats.Histogram
+	histFree  []*stats.Histogram // merged-away window histograms, for reuse
 	gauges    [NumGauges]gauge
 	sealed    []sealedWindow
 	seq       int
@@ -259,8 +260,9 @@ func (r *Recorder) coalesce() {
 		m := sealedWindow{startPs: a.startPs, spanPs: a.spanPs + b.spanPs, hist: a.hist}
 		if m.hist == nil {
 			m.hist = b.hist
-		} else {
+		} else if b.hist != nil {
 			m.hist.Merge(b.hist)
+			r.histFree = append(r.histFree, b.hist)
 		}
 		for c := 0; c < numCounters; c++ {
 			m.counts[c] = a.counts[c] + b.counts[c]
@@ -310,7 +312,13 @@ func (r *Recorder) Finished(at sim.Time) {
 func (r *Recorder) Sample(at sim.Time, lat sim.Time) {
 	r.advance(at)
 	if r.hist == nil {
-		r.hist = stats.NewHistogram()
+		if n := len(r.histFree); n > 0 {
+			r.hist = r.histFree[n-1]
+			r.histFree = r.histFree[:n-1]
+			r.hist.Reset()
+		} else {
+			r.hist = stats.NewHistogram()
+		}
 	}
 	r.hist.Record(int64(lat))
 }

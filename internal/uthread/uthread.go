@@ -182,7 +182,9 @@ func (a *API) Access(addr uint64) []byte {
 // AccessBatch performs several independent reads with a single context
 // switch — the batching used to express memory-level parallelism
 // (§V-B, Impact of MLP: "a single context switch after issuing multiple
-// prefetches"). It returns one line per address, in order.
+// prefetches"). It returns one line per address, in order. Executors
+// reuse the returned slice, so it is valid until the thread's next
+// AccessBatch, and the lines are read-only.
 func (a *API) AccessBatch(addrs []uint64) [][]byte {
 	if len(addrs) == 0 {
 		return nil
