@@ -19,7 +19,7 @@ bench:
 # Engine, model-layer and sweep benchmarks, gated against the committed
 # baseline (fails on a >25% rate regression or an allocs/op above a
 # pinned ceiling; see cmd/benchgate).
-BENCH_ENGINE_PKGS = ./internal/sim/ ./internal/experiments/ ./internal/pcie/ ./internal/mem/ ./internal/device/
+BENCH_ENGINE_PKGS = ./internal/sim/ ./internal/experiments/ ./internal/pcie/ ./internal/mem/ ./internal/device/ ./internal/uthread/ ./internal/telemetry/
 
 bench-engine:
 	$(GO) test -bench . -benchtime=0.2s -count=3 -run '^$$' $(BENCH_ENGINE_PKGS) | tee bench_engine.txt

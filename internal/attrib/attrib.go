@@ -136,7 +136,21 @@ func (pr *Probe) Open(at sim.Time) *Access {
 	if pr == nil {
 		return nil
 	}
-	return &Access{pr: pr, start: at, last: at}
+	return pr.OpenIn(new(Access), at)
+}
+
+// OpenIn is Open on caller-owned storage: it resets a to a fresh
+// ledger starting at at and returns it, so a record that carries its
+// ledger by value opens accesses without allocating. A nil probe
+// returns nil and leaves a untouched. The caller must not reuse a
+// while anything that could still mark or close the old ledger holds
+// it: a closed ledger ignores stragglers, a reopened one does not.
+func (pr *Probe) OpenIn(a *Access, at sim.Time) *Access {
+	if pr == nil {
+		return nil
+	}
+	*a = Access{pr: pr, start: at, last: at}
+	return a
 }
 
 // Accesses returns the number of closed accesses.

@@ -3,6 +3,7 @@ package attrib
 import (
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/sim"
 )
 
@@ -201,5 +202,57 @@ func TestNamesAndString(t *testing.T) {
 	names[0] = "mutated"
 	if Names()[0] != "issue" {
 		t.Error("Names() shares its backing array with callers")
+	}
+}
+
+// TestOpenInReusesStorage pins the in-place open: a reopened ledger
+// starts fresh whatever its previous life, accounts exactly like a heap
+// ledger, and a nil probe neither hands one out nor touches the storage.
+func TestOpenInReusesStorage(t *testing.T) {
+	heap, inPlace := NewProbe("heap"), NewProbe("in-place")
+	var slot Access
+	for i := 0; i < 3; i++ {
+		start := sim.Time(i) * 10_000
+		for _, a := range []*Access{heap.Open(start), inPlace.OpenIn(&slot, start)} {
+			a.To(PhaseIssue, start+100)
+			a.To(PhaseTransit, start+900)
+			a.Close(PhaseDevice, start+2_000)
+		}
+	}
+	if heap.TotalPs() != inPlace.TotalPs() || heap.Accesses() != inPlace.Accesses() {
+		t.Fatalf("in-place total/accesses %d/%d, heap %d/%d",
+			inPlace.TotalPs(), inPlace.Accesses(), heap.TotalPs(), heap.Accesses())
+	}
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		if heap.PhasePs(ph) != inPlace.PhasePs(ph) {
+			t.Errorf("%s: in-place %d, heap %d", ph, inPlace.PhasePs(ph), heap.PhasePs(ph))
+		}
+	}
+	var pr *Probe
+	before := slot
+	if a := pr.OpenIn(&slot, 5); a != nil || slot != before {
+		t.Error("nil probe opened or touched the storage")
+	}
+}
+
+// TestOpenInAllocatesNothing pins that an embedded ledger's whole life
+// — open, marks, close into the probe — allocates nothing once the
+// probe's histograms cover the phase totals.
+func TestOpenInAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	pr := NewProbe("allocs")
+	var slot Access
+	at := sim.Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		a := pr.OpenIn(&slot, at)
+		a.To(PhaseQueueWait, at+300_000)
+		a.To(PhaseTransit, at+1_100_000)
+		a.Close(PhaseDevice, at+2_000_000)
+		at += 3_000_000
+	})
+	if allocs != 0 {
+		t.Errorf("OpenIn/To/Close: %v allocations per access, want 0", allocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/race"
 	"repro/internal/replay"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -13,10 +14,10 @@ import (
 // and returns the allocations each extra access costs. The difference
 // cancels the fixed cost of building the platform and the threads, so
 // what is left is the per-access path.
-func allocsPerAccess(t *testing.T, mech func(platform.Config, Workload, int, bool) (Result, error), attribution bool) float64 {
+func allocsPerAccess(t *testing.T, mech func(platform.Config, Workload, int, bool) (Result, error), sinks func(*platform.Config)) float64 {
 	t.Helper()
 	cfg := platform.Default().WithCores(2)
-	cfg.Attribution = attribution
+	sinks(&cfg)
 	run := func(iters int) (allocs float64, accesses int) {
 		w := workload.NewMicrobench(iters, workload.DefaultWorkCount, 4)
 		allocs = testing.AllocsPerRun(1, func() {
@@ -35,8 +36,10 @@ func allocsPerAccess(t *testing.T, mech func(platform.Config, Workload, int, boo
 }
 
 // TestAccessPathAllocations pins the allocation-free access path of the
-// two mechanisms that dominate the sweeps: with attribution on, an
-// access allocates at most its ledger; with it off, nothing.
+// two mechanisms that dominate the sweeps: nothing per access with the
+// sinks off, nothing with attribution on (the ledger is embedded in
+// the access record), and only the flight recorder's per-window cost
+// with attribution and 10 us metric windows on.
 func TestAccessPathAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -50,14 +53,22 @@ func TestAccessPathAllocations(t *testing.T) {
 	}
 	for _, m := range mechs {
 		for _, tc := range []struct {
-			attribution bool
-			max         float64
-		}{{false, 0.01}, {true, 1.01}} {
-			got := allocsPerAccess(t, m.run, tc.attribution)
-			t.Logf("%s attribution=%v: %.4f allocations per access", m.name, tc.attribution, got)
+			sinks string
+			set   func(*platform.Config)
+			max   float64
+		}{
+			{"off", func(*platform.Config) {}, 0.01},
+			{"attribution", func(c *platform.Config) { c.Attribution = true }, 0.01},
+			{"attribution+metrics", func(c *platform.Config) {
+				c.Attribution = true
+				c.MetricsWindow = 10 * sim.Microsecond
+			}, 0.025},
+		} {
+			got := allocsPerAccess(t, m.run, tc.set)
+			t.Logf("%s sinks=%s: %.4f allocations per access", m.name, tc.sinks, got)
 			if got > tc.max {
-				t.Errorf("%s attribution=%v: %.3f allocations per access, want <= %.2f",
-					m.name, tc.attribution, got, tc.max)
+				t.Errorf("%s sinks=%s: %.3f allocations per access, want <= %.2f",
+					m.name, tc.sinks, got, tc.max)
 			}
 		}
 	}

@@ -57,6 +57,20 @@ type Env struct {
 	lfbName, sqName, cqName, runnableName []string
 }
 
+// openLedger opens an access's attribution ledger at at (nil when
+// attribution is off). A fault-free access keeps it in slot, storage
+// embedded in the recycled per-access record, which is reused only
+// after every event that can reach the ledger has run (DESIGN.md §16).
+// Under fault injection, or with no slot, the ledger is a fresh heap
+// one: a duplicated or straggling response may still mark it after its
+// record is reused, and only a closed ledger ignores that.
+func (e *Env) openLedger(slot *attrib.Access, at sim.Time) *attrib.Access {
+	if slot == nil || e.faults != nil {
+		return e.at.Open(at)
+	}
+	return e.at.OpenIn(slot, at)
+}
+
 func NewEnv(cfg platform.Config, backing replay.Backing) *Env {
 	eng := sim.NewEngine()
 	link := pcie.NewLink(eng, cfg)

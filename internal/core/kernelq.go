@@ -131,9 +131,9 @@ func runKernelQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, 
 			// Syscall entry, kernel queueing, unconditional doorbell,
 			// then the kernel de-schedules the thread.
 			p.Sleep(e.cfg.SyscallCost)
-			st.begin(len(req.Addrs))
+			st.begin(e, len(req.Addrs))
 			for i, addr := range req.Addrs {
-				aw := e.at.Open(p.Now())
+				aw := st.open(e, i, p.Now())
 				p.Sleep(e.cfg.SWQPerAccessOverhead)
 				aw.To(attrib.PhaseIssue, p.Now())
 				c.accesses++

@@ -56,6 +56,7 @@ type lineFetch struct {
 	miss   bool           // sent to the device this batch (false for a cache hit)
 	sp     trace.Span     // access-lifecycle span
 	aw     *attrib.Access // attribution ledger; nil when off or for a hit
+	ledger attrib.Access  // aw's storage on the fault-free path
 	gate   *sim.Gate      // fires when the line has landed
 
 	acquiredFn func()       // l.acquired
@@ -220,7 +221,7 @@ func runPrefetchCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread,
 				if e.tr != nil {
 					sp = e.trCore[coreID].BeginSpan(p.Now(), "access", trace.Hex("addr", addr))
 				}
-				aw := e.at.Open(p.Now())
+				aw := e.openLedger(&l.ledger, p.Now())
 				l.sp, l.aw = sp, aw
 
 				// prefetcht0: allocate an LFB entry; a full pool stalls

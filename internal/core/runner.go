@@ -135,12 +135,15 @@ func RunOnDemandDevice(cfg platform.Config, w Workload) (Result, error) {
 			})
 		}
 		rtt := 2*cfg.PCIePropagation + cfg.TLPTime(0) + cfg.TLPTime(platform.CacheLineBytes)
+		// Each ledger opens and closes within one observe call, so one
+		// reused ledger serves every access.
+		var ledger attrib.Access
 		prev := observe
 		observe = func(issue, complete sim.Time, out fault.AccessOutcome) {
 			if prev != nil {
 				prev(issue, complete, out)
 			}
-			aw := at.Open(issue)
+			aw := at.OpenIn(&ledger, issue)
 			if out.Abandoned {
 				aw.Close(attrib.PhaseRetry, complete)
 				return

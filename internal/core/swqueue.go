@@ -23,13 +23,30 @@ type swqThreadState struct {
 	// atr holds the batch's attribution ledgers awaiting delivery, by
 	// slot; empty when attribution is off or the batch had none complete.
 	atr []*attrib.Access
+
+	// ledgers is the ledger storage of the batch's slots when they are
+	// embedded (attribution on, no fault injection); empty otherwise.
+	// The previous batch's ledgers are all closed when the next begins.
+	ledgers []attrib.Access
 }
 
 // begin readies the state for a batch of n accesses.
-func (st *swqThreadState) begin(n int) {
+func (st *swqThreadState) begin(e *Env, n int) {
 	st.data = slices.Grow(st.data[:0], n)[:n]
 	clear(st.data)
 	st.remaining = n
+	if e.at != nil && e.faults == nil && len(st.ledgers) < n {
+		st.ledgers = make([]attrib.Access, n)
+	}
+}
+
+// open opens the attribution ledger of the batch's slot i at at.
+func (st *swqThreadState) open(e *Env, i int, at sim.Time) *attrib.Access {
+	var slot *attrib.Access
+	if i < len(st.ledgers) {
+		slot = &st.ledgers[i]
+	}
+	return e.openLedger(slot, at)
 }
 
 // park files a completed access's ledger until the batch is delivered.
@@ -245,9 +262,9 @@ func runSWQCore(p *sim.Proc, e *Env, coreID int, threads []*uthread.Thread, c *c
 			// the number of accesses "even when the accesses are
 			// batched").
 			p.Sleep(e.cfg.SWQBatchOverhead)
-			st.begin(len(req.Addrs))
+			st.begin(e, len(req.Addrs))
 			for i, addr := range req.Addrs {
-				aw := e.at.Open(p.Now())
+				aw := st.open(e, i, p.Now())
 				p.Sleep(e.cfg.SWQPerAccessOverhead)
 				aw.To(attrib.PhaseIssue, p.Now())
 				c.accesses++

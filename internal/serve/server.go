@@ -307,6 +307,9 @@ type Server struct {
 
 	// run executes one job; tests swap it to control timing.
 	run func(*job)
+	// suiteHook, when set, adjusts each job's suite just before its
+	// plan runs; tests use it to plant a failure inside a cell.
+	suiteHook func(*experiments.Suite)
 	// now is the server's clock; tests may pin it.
 	now func() time.Time
 }
@@ -607,6 +610,9 @@ func (s *Server) executeJob(j *job) {
 		// do not re-simulate, so they stream nothing — the report still
 		// carries their full series.
 		suite.Base.MetricsSink = j.hub
+	}
+	if s.suiteHook != nil {
+		s.suiteHook(&suite)
 	}
 	plan, err := j.req.plan(suite)
 	if err != nil {

@@ -15,8 +15,14 @@ import "math/bits"
 // diagnostics. The scheme is closed-form (no rescaling, no allocation
 // beyond the count slice), so recording is amortized O(1) and
 // deterministic.
+//
+// Storage is sparse: counts[i] holds bucket base+i, and the slice
+// covers the used bucket range [bucketIndex(min), bucketIndex(max)]
+// plus headroom, so a window of microsecond latencies holds a few dozen
+// buckets rather than every bucket from zero up (about 15 KB).
 type Histogram struct {
-	counts []uint64
+	counts []uint64 // counts[i] is bucket base+i; zero outside the used range
+	base   int
 	total  uint64
 	min    int64
 	max    int64
@@ -27,6 +33,16 @@ const histSubBits = 7
 
 // histExact is the threshold below which every value has its own bucket.
 const histExact = 1 << (histSubBits + 1)
+
+// histGranule is the storage granule: bucket storage starts and ends
+// on multiples of it. Above histExact it is a quarter of an octave's
+// buckets (values within 12-25% of each other), about the spread of one
+// telemetry window's latencies, so a typical window holds one to three
+// granules.
+const histGranule = 1 << (histSubBits - 2)
+
+// histBuckets is the number of buckets the int64 range needs.
+var histBuckets = bucketIndex(1<<63-1) + 1
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
@@ -61,10 +77,10 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	idx := bucketIndex(v)
-	if idx >= len(h.counts) {
-		h.grow(idx + 1)
+	if uint(idx-h.base) >= uint(len(h.counts)) {
+		h.cover(idx, idx)
 	}
-	h.counts[idx]++
+	h.counts[idx-h.base]++
 	if h.total == 0 || v < h.min {
 		h.min = v
 	}
@@ -74,29 +90,76 @@ func (h *Histogram) Record(v int64) {
 	h.total++
 }
 
-// grow extends the bucket range to n buckets. It reserves capacity to
-// the end of the top bucket's power-of-two octave, so samples of one
-// magnitude reallocate once rather than once per new top bucket, and
-// at most one octave's buckets sit unused. Buckets past len are always
-// zero: Reset clears what it drops.
-func (h *Histogram) grow(n int) {
-	if n > cap(h.counts) {
-		end := histExact
-		if top := n - 1; top >= histExact {
-			end += ((top-histExact)>>histSubBits + 1) << histSubBits
+// used returns the first and last bucket holding samples; the
+// histogram must be non-empty.
+func (h *Histogram) used() (lo, hi int) {
+	return bucketIndex(h.min), bucketIndex(h.max)
+}
+
+// cover makes storage span buckets [lo, hi] as well as the used range.
+// The needed range is widened to whole granules. When it fits in the
+// current storage the counts slide within it; otherwise storage grows
+// to at least 1.5 times its size, with the headroom on the side that
+// grew, so descending and ascending inputs both reallocate O(log n)
+// times. Storage never grows past what the need and that factor ask,
+// so a reused histogram does not creep.
+func (h *Histogram) cover(lo, hi int) {
+	if h.total > 0 {
+		ulo, uhi := h.used()
+		lo, hi = min(lo, ulo), max(hi, uhi)
+	}
+	start := lo &^ (histGranule - 1)
+	end := min(hi|(histGranule-1)+1, histBuckets)
+	n := len(h.counts)
+	down := lo < h.base // growing below the current storage
+	if end-start <= n {
+		base := start
+		if down {
+			base = max(end-n, 0)
 		}
-		grown := make([]uint64, n, end)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.slide(base)
 		return
 	}
-	h.counts = h.counts[:n]
+	size := max(end-start, n+n/2)
+	size = min((size+histGranule-1)&^(histGranule-1), histBuckets)
+	base := start
+	if down {
+		base = max(end-size, 0)
+	}
+	base = min(base, histBuckets-size)
+	grown := make([]uint64, size)
+	if h.total > 0 {
+		ulo, uhi := h.used()
+		copy(grown[ulo-base:], h.counts[ulo-h.base:uhi-h.base+1])
+	}
+	h.counts, h.base = grown, base
+}
+
+// slide re-bases storage in place; the used range must fit at the new
+// base. Buckets outside the used range stay zero.
+func (h *Histogram) slide(base int) {
+	if h.total > 0 && base != h.base {
+		ulo, uhi := h.used()
+		src := h.counts[ulo-h.base : uhi-h.base+1]
+		dst := h.counts[ulo-base : uhi-base+1]
+		copy(dst, src)
+		// Zero what the copy left behind of the old placement.
+		if base > h.base {
+			clear(h.counts[uhi-base+1 : uhi-h.base+1])
+		} else {
+			clear(h.counts[ulo-h.base : min(ulo-base, uhi-h.base+1)])
+		}
+	}
+	h.base = base
 }
 
 // Reset empties the histogram, keeping its bucket storage for reuse.
 func (h *Histogram) Reset() {
-	clear(h.counts)
-	*h = Histogram{counts: h.counts[:0]}
+	if h.total > 0 {
+		lo, hi := h.used()
+		clear(h.counts[lo-h.base : hi-h.base+1])
+	}
+	*h = Histogram{counts: h.counts, base: h.base}
 }
 
 // Count returns the number of recorded samples.
@@ -123,22 +186,25 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Buckets returns the number of allocated buckets — bounded by the
-// sample magnitude, not the sample count.
+// Buckets returns the width of the used bucket range, from the
+// minimum's bucket to the maximum's — bounded by the sample magnitude,
+// not the sample count.
 func (h *Histogram) Buckets() int {
-	if h == nil {
+	if h == nil || h.total == 0 {
 		return 0
 	}
-	return len(h.counts)
+	lo, hi := h.used()
+	return hi - lo + 1
 }
 
 // Merge adds every sample of o into h, bucket-wise. Both histograms
 // use the package's single closed-form bucketing scheme, so the only
-// structural difference two instances can have is the allocated bucket
-// range; the guard below grows h as needed and a nil or empty o is a
-// no-op. Merge is the window→run rollup primitive of the telemetry
-// recorder: per-window histograms merge into coalesced windows and
-// into the whole-run percentile summary without re-recording samples.
+// structural difference two instances can have is the stored bucket
+// range; h's storage grows to cover o's used range and a nil or empty
+// o is a no-op. Merge is the window→run rollup primitive of the
+// telemetry recorder: per-window histograms merge into coalesced
+// windows and into the whole-run percentile summary without
+// re-recording samples.
 func (h *Histogram) Merge(o *Histogram) {
 	if h == nil {
 		panic("stats: Merge into nil histogram")
@@ -146,11 +212,13 @@ func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.total == 0 {
 		return
 	}
-	if len(o.counts) > len(h.counts) {
-		h.grow(len(o.counts))
+	lo, hi := o.used()
+	if lo < h.base || hi >= h.base+len(h.counts) {
+		h.cover(lo, hi)
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
+	dst := h.counts[lo-h.base:]
+	for i, c := range o.counts[lo-o.base : hi-o.base+1] {
+		dst[i] += c
 	}
 	if h.total == 0 || o.min < h.min {
 		h.min = o.min
@@ -168,29 +236,36 @@ func (h *Histogram) Merge(o *Histogram) {
 // sample, clamped into [Min, Max] so extreme quantiles never leave the
 // observed range.
 func (h *Histogram) Quantile(q float64) int64 {
+	var v [1]int64
+	h.Quantiles(v[:], q)
+	return v[0]
+}
+
+// Quantiles sets out[i] to Quantile(qs[i]) for every i in one scan of
+// the used buckets. qs must be non-decreasing; out must be at least as
+// long as qs.
+func (h *Histogram) Quantiles(out []int64, qs ...float64) {
 	if h == nil || h.total == 0 {
-		return 0
+		clear(out[:len(qs)])
+		return
 	}
-	rank := uint64(q * float64(h.total))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.total {
-		rank = h.total
-	}
+	lo, hi := h.used()
+	k := 0
 	var cum uint64
-	for idx, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			v := bucketValue(idx)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+	for idx := lo; idx <= hi && k < len(qs); idx++ {
+		cum += h.counts[idx-h.base]
+		for k < len(qs) && cum >= h.rank(qs[k]) {
+			out[k] = min(max(bucketValue(idx), h.min), h.max)
+			k++
 		}
 	}
-	return h.max
+	for ; k < len(qs); k++ {
+		out[k] = h.max
+	}
+}
+
+// rank is the nearest-rank position of the q-quantile, in [1, total].
+func (h *Histogram) rank(q float64) uint64 {
+	rank := uint64(q * float64(h.total))
+	return min(max(rank, 1), h.total)
 }

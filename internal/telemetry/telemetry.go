@@ -17,8 +17,9 @@
 //     fits in fixed storage while still covering t=0 to the end.
 //   - Recording is allocation-free on the hot path: counter bumps are
 //     an advance check plus an increment; only sealing a window (once
-//     per W of sim-time) may allocate, and sealed storage is bounded
-//     by maxWindows.
+//     per W of sim-time) may allocate. The ring grows by append as
+//     windows seal, so a short run holds only the windows it cut, and
+//     it never grows past maxWindows.
 //
 // The output is a pure-value stats.TimeSeries, so identical simulated
 // runs yield byte-identical series regardless of worker count.
@@ -104,8 +105,7 @@ type sealedWindow struct {
 	counts  [numCounters]uint64
 	occInt  [NumGauges]float64
 	occMax  [NumGauges]int
-	hist    *stats.Histogram
-	phases  []int64 // attribution phase sums, ps; nil unless enabled
+	hist    stats.Histogram // owns its bucket storage; moved, never shared
 }
 
 // Recorder accumulates one run's flight-recorder series. It is not
@@ -119,8 +119,8 @@ type Recorder struct {
 
 	curStart  sim.Time
 	counts    [numCounters]uint64
-	hist      *stats.Histogram
-	histFree  []*stats.Histogram // merged-away window histograms, for reuse
+	hist      stats.Histogram   // current window's latencies
+	histFree  []stats.Histogram // merged-away window histograms, for reuse
 	gauges    [NumGauges]gauge
 	sealed    []sealedWindow
 	seq       int
@@ -131,6 +131,7 @@ type Recorder struct {
 	// called (the run had attribution enabled alongside the recorder).
 	phaseNames []string
 	phases     []int64 // current window's per-phase ps sums
+	phaseRows  []int64 // sealed windows' phase sums, len(phaseNames) per window
 }
 
 // DefaultMaxWindows bounds the retained ring when the caller passes 0.
@@ -169,7 +170,6 @@ func NewRecorder(label string, window sim.Time, maxWindows int, sink Sink) *Reco
 		window:     window,
 		maxWindows: maxWindows,
 		sink:       sink,
-		sealed:     make([]sealedWindow, 0, maxWindows),
 	}
 }
 
@@ -203,8 +203,8 @@ func (r *Recorder) sealWindow(end sim.Time) {
 		if r.phases == nil {
 			r.phases = make([]int64, len(r.phaseNames))
 		}
-		sw.phases = r.phases
-		r.phases = nil
+		r.phaseRows = append(r.phaseRows, r.phases...)
+		clear(r.phases)
 	}
 	for i := range r.gauges {
 		g := &r.gauges[i]
@@ -217,7 +217,12 @@ func (r *Recorder) sealWindow(end sim.Time) {
 	}
 	r.sealed = append(r.sealed, sw)
 	r.counts = [numCounters]uint64{}
-	r.hist = nil
+	r.hist = stats.Histogram{}
+	if n := len(r.histFree); n > 0 {
+		r.hist = r.histFree[n-1]
+		r.histFree = r.histFree[:n-1]
+		r.hist.Reset()
+	}
 	r.curStart = end
 	if r.sink != nil {
 		r.sink.PublishWindow(r.event(sw))
@@ -238,10 +243,8 @@ func (r *Recorder) event(sw sealedWindow) WindowEvent {
 		Timeouts:  sw.counts[cTimeouts],
 		Abandoned: sw.counts[cAbandoned],
 		Switches:  sw.counts[cSwitches],
-		P50Ns:     quantileNs(sw.hist, 0.50),
-		P99Ns:     quantileNs(sw.hist, 0.99),
-		P999Ns:    quantileNs(sw.hist, 0.999),
 	}
+	ev.P50Ns, ev.P99Ns, ev.P999Ns = quantilesNs(&sw.hist)
 	for i := range ev.OccMean {
 		ev.OccMean[i] = sw.occInt[i] / float64(sw.spanPs)
 		ev.OccMax[i] = sw.occMax[i]
@@ -256,14 +259,15 @@ func (r *Recorder) event(sw sealedWindow) WindowEvent {
 func (r *Recorder) coalesce() {
 	half := len(r.sealed) / 2
 	for i := 0; i < half; i++ {
-		a, b := r.sealed[2*i], r.sealed[2*i+1]
+		a, b := &r.sealed[2*i], &r.sealed[2*i+1]
 		m := sealedWindow{startPs: a.startPs, spanPs: a.spanPs + b.spanPs, hist: a.hist}
-		if m.hist == nil {
-			m.hist = b.hist
-		} else if b.hist != nil {
-			m.hist.Merge(b.hist)
-			r.histFree = append(r.histFree, b.hist)
+		spare := b.hist
+		if m.hist.Count() == 0 {
+			m.hist, spare = b.hist, a.hist
+		} else {
+			m.hist.Merge(&b.hist)
 		}
+		r.histFree = append(r.histFree, spare)
 		for c := 0; c < numCounters; c++ {
 			m.counts[c] = a.counts[c] + b.counts[c]
 		}
@@ -274,21 +278,19 @@ func (r *Recorder) coalesce() {
 				m.occMax[g] = b.occMax[g]
 			}
 		}
-		if a.phases != nil {
-			m.phases = a.phases
-			for pi, v := range b.phases {
-				m.phases[pi] += v
-			}
-		} else {
-			m.phases = b.phases
-		}
 		r.sealed[i] = m
+		if k := len(r.phaseNames); k > 0 {
+			row := r.phaseRows[i*k : (i+1)*k]
+			for pi := range row {
+				row[pi] = r.phaseRows[2*i*k+pi] + r.phaseRows[(2*i+1)*k+pi]
+			}
+		}
 	}
-	// Zero the tail so the dropped halves release their histograms.
-	for i := half; i < len(r.sealed); i++ {
-		r.sealed[i] = sealedWindow{}
-	}
+	// Zero the tail: its histograms' storage now belongs to merged
+	// windows or to histFree.
+	clear(r.sealed[half:])
 	r.sealed = r.sealed[:half]
+	r.phaseRows = r.phaseRows[:half*len(r.phaseNames)]
 	r.window *= 2
 	r.coalesced++
 }
@@ -311,15 +313,6 @@ func (r *Recorder) Finished(at sim.Time) {
 // earlier than the core drains them.
 func (r *Recorder) Sample(at sim.Time, lat sim.Time) {
 	r.advance(at)
-	if r.hist == nil {
-		if n := len(r.histFree); n > 0 {
-			r.hist = r.histFree[n-1]
-			r.histFree = r.histFree[:n-1]
-			r.hist.Reset()
-		} else {
-			r.hist = stats.NewHistogram()
-		}
-	}
 	r.hist.Record(int64(lat))
 }
 
@@ -439,7 +432,7 @@ func (r *Recorder) series() *stats.TimeSeries {
 		ts.PhaseNames = append([]string(nil), r.phaseNames...)
 		ts.Phases = make([][]int64, n)
 	}
-	rollup := stats.NewHistogram()
+	var rollup stats.Histogram
 	for i, sw := range r.sealed {
 		ts.Starts[i] = sw.counts[cStarted]
 		ts.Completes[i] = sw.counts[cFinished]
@@ -448,9 +441,7 @@ func (r *Recorder) series() *stats.TimeSeries {
 		ts.Abandoned[i] = sw.counts[cAbandoned]
 		ts.Switches[i] = sw.counts[cSwitches]
 
-		ts.P50Ns[i] = quantileNs(sw.hist, 0.50)
-		ts.P99Ns[i] = quantileNs(sw.hist, 0.99)
-		ts.P999Ns[i] = quantileNs(sw.hist, 0.999)
+		ts.P50Ns[i], ts.P99Ns[i], ts.P999Ns[i] = quantilesNs(&sw.hist)
 
 		span := float64(sw.spanPs)
 		ts.LFBMean[i] = sw.occInt[GaugeLFB] / span
@@ -466,7 +457,7 @@ func (r *Recorder) series() *stats.TimeSeries {
 
 		if ts.Phases != nil {
 			row := make([]int64, len(r.phaseNames))
-			copy(row, sw.phases)
+			copy(row, r.phaseRows[i*len(row):])
 			ts.Phases[i] = row
 		}
 
@@ -476,23 +467,21 @@ func (r *Recorder) series() *stats.TimeSeries {
 		ts.TotalTimeouts += sw.counts[cTimeouts]
 		ts.TotalAbandoned += sw.counts[cAbandoned]
 		ts.TotalSwitches += sw.counts[cSwitches]
-		rollup.Merge(sw.hist)
+		rollup.Merge(&sw.hist)
 
 		if i == n-1 {
 			ts.LastSpanPs = sw.spanPs
 		}
 	}
-	ts.TotalP50Ns = quantileNs(rollup, 0.50)
-	ts.TotalP99Ns = quantileNs(rollup, 0.99)
-	ts.TotalP999Ns = quantileNs(rollup, 0.999)
+	ts.TotalP50Ns, ts.TotalP99Ns, ts.TotalP999Ns = quantilesNs(&rollup)
 	return ts
 }
 
-// quantileNs converts a picosecond-sample quantile to nanoseconds,
-// returning 0 for an empty histogram.
-func quantileNs(h *stats.Histogram, q float64) float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	return sim.Time(h.Quantile(q)).Nanoseconds()
+// quantilesNs returns a picosecond-sample histogram's p50, p99 and
+// p999 in nanoseconds from one scan of its buckets; all are 0 for an
+// empty histogram.
+func quantilesNs(h *stats.Histogram) (p50, p99, p999 float64) {
+	var q [3]int64
+	h.Quantiles(q[:], 0.50, 0.99, 0.999)
+	return sim.Time(q[0]).Nanoseconds(), sim.Time(q[1]).Nanoseconds(), sim.Time(q[2]).Nanoseconds()
 }

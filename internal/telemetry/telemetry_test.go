@@ -208,3 +208,49 @@ func TestEffectiveMaxWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestRingGrowsToItsWindows pins that the sealed ring holds storage for
+// the windows a run cut, not for the bound, and never passes the bound.
+func TestRingGrowsToItsWindows(t *testing.T) {
+	r := NewRecorder("short", us(10), 0, nil)
+	for i := 0; i < 5; i++ {
+		r.Sample(us(10*float64(i)+1), us(1))
+	}
+	r.Finish(us(45))
+	if n, c := len(r.sealed), cap(r.sealed); n != 5 || c > 8 {
+		t.Errorf("short run: %d windows in a ring of capacity %d, want 5 in at most 8", n, c)
+	}
+	long := NewRecorder("long", us(10), 6, nil)
+	for i := 0; i < 100; i++ {
+		long.Sample(us(10*float64(i)+1), us(1))
+		if len(long.sealed) > 6 {
+			t.Fatalf("ring holds %d windows, bound 6", len(long.sealed))
+		}
+	}
+}
+
+// recordRun records one run of n accesses 200 ns apart, with 1-2 us
+// latencies, into a recorder of 10 us windows and renders its series.
+func recordRun(n int, rnd *stats.Rand) *stats.TimeSeries {
+	r := NewRecorder("bench", us(10), 0, nil)
+	at := sim.Time(0)
+	for i := 0; i < n; i++ {
+		lat := us(1) + sim.Time(rnd.Uint64()%uint64(us(1)))
+		r.Started(at)
+		r.Finished(at + lat)
+		r.Sample(at+lat, lat)
+		at += us(0.2)
+	}
+	return r.Finish(at + us(2))
+}
+
+// BenchmarkRecorderSample measures the flight recorder over one run:
+// 4096 accesses sampled into 10 us windows (about 80 of them), then
+// the series rendered. Every op records the same latencies, so its
+// allocations are exactly the recorder's per-window and per-run costs.
+func BenchmarkRecorderSample(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		recordRun(4096, stats.NewRand(1))
+	}
+}

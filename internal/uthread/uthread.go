@@ -62,7 +62,7 @@ func (k Kind) String() string {
 type Request struct {
 	Kind  Kind
 	Instr int      // KindWork: dependent work instructions to retire
-	Addrs []uint64 // KindAccess: cache-line addresses, batched before one switch
+	Addrs []uint64 // KindAccess: cache-line addresses, batched before one switch; valid until the next Resume
 }
 
 // Thread is one user-level thread.
@@ -74,7 +74,8 @@ type Thread struct {
 	yield    func(Request) bool     // body -> executor: hand over a request
 	data     [][]byte               // Resume payload for the pending request
 	finished bool
-	last     Request // most recent request, for Resume payload checks
+	last     Request   // most recent request, for Resume payload checks
+	one      [1]uint64 // Access/Write's address batch; the executor is done with it by Resume
 }
 
 // errUnwind is the panic that a request raises in a thread stopped by
@@ -176,7 +177,8 @@ func (a *API) Work(n int) {
 // Access performs one synchronous device cache-line read, returning the
 // 64-byte line. It is the paper's dev_access(uint64*).
 func (a *API) Access(addr uint64) []byte {
-	return a.AccessBatch([]uint64{addr})[0]
+	a.t.one[0] = addr
+	return a.AccessBatch(a.t.one[:])[0]
 }
 
 // AccessBatch performs several independent reads with a single context
@@ -194,7 +196,10 @@ func (a *API) AccessBatch(addrs []uint64) [][]byte {
 
 // Write posts one fire-and-forget device cache-line write; the thread
 // continues immediately (no context switch, §VII).
-func (a *API) Write(addr uint64) { a.WriteBatch([]uint64{addr}) }
+func (a *API) Write(addr uint64) {
+	a.t.one[0] = addr
+	a.WriteBatch(a.t.one[:])
+}
 
 // WriteBatch posts several fire-and-forget writes.
 func (a *API) WriteBatch(addrs []uint64) {

@@ -2,6 +2,8 @@ package uthread
 
 import (
 	"testing"
+
+	"repro/internal/race"
 )
 
 func TestThreadLifecycle(t *testing.T) {
@@ -223,5 +225,45 @@ func TestFIFO(t *testing.T) {
 	}
 	if f.Pop() != a || f.Pop() != b || f.Pop() != nil {
 		t.Error("FIFO order violated")
+	}
+}
+
+// BenchmarkUthreadSwitch measures one thread switch round trip: the
+// executor resumes a thread with its line and the thread runs to its
+// next single-line access.
+func BenchmarkUthreadSwitch(b *testing.B) {
+	th := New(0, func(a *API) {
+		for addr := uint64(0); ; addr += 64 {
+			a.Access(addr)
+		}
+	})
+	line := [][]byte{make([]byte, 64)}
+	th.Start()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Resume(line)
+	}
+	b.StopTimer()
+	th.Stop()
+}
+
+// TestSwitchAllocatesNothing pins that a resumed single-line access or
+// write allocates nothing.
+func TestSwitchAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	th := New(0, func(a *API) {
+		for addr := uint64(0); ; addr += 64 {
+			a.Write(addr)
+			a.Access(addr)
+		}
+	})
+	line := [][]byte{make([]byte, 64)}
+	th.Start()
+	defer th.Stop()
+	if n := testing.AllocsPerRun(100, func() { th.Resume(line) }); n != 0 {
+		t.Errorf("Resume to the next access allocates %v objects, want 0", n)
 	}
 }
